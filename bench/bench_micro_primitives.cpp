@@ -7,8 +7,10 @@
 // `--json[=path]` switches to the persisted scalar-vs-SIMD comparison:
 // the GearCdc scan and the bulk SHA-256 path are timed once per
 // dispatch target the host supports, results are checked bit-identical
-// against the scalar reference, and the series is written in the
-// uniform JsonReport schema (default path BENCH_primitives.json).
+// against the scalar reference; the LZ codec is timed in both
+// directions, its output checked against a pinned digest; and the
+// series is written in the uniform JsonReport schema (default path
+// BENCH_primitives.json).
 // Without the flag the usual google-benchmark CLI runs.
 
 #include <benchmark/benchmark.h>
@@ -17,6 +19,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "harness.h"
@@ -57,22 +60,19 @@ BENCHMARK(BM_Sha256_4K);
 void
 BM_LzCompress_4K(benchmark::State &state)
 {
-    const auto level = static_cast<LzLevel>(state.range(0));
     const Buffer chunk = workload::make_chunk_content(2, 0.5);
     for (auto _ : state)
-        benchmark::DoNotOptimize(lz_compress(chunk, level));
+        benchmark::DoNotOptimize(lz_compress(chunk));
     state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                             kChunkSize);
 }
-BENCHMARK(BM_LzCompress_4K)
-    ->Arg(static_cast<int>(LzLevel::kFast))
-    ->Arg(static_cast<int>(LzLevel::kDefault));
+BENCHMARK(BM_LzCompress_4K);
 
 void
 BM_LzDecompress_4K(benchmark::State &state)
 {
     const Buffer chunk = workload::make_chunk_content(3, 0.5);
-    const Buffer block = lz_compress(chunk, LzLevel::kFast);
+    const Buffer block = lz_compress(chunk);
     for (auto _ : state)
         benchmark::DoNotOptimize(lz_decompress(block));
     state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
@@ -604,6 +604,53 @@ run_json_report(const std::string &path)
         report.end_entry();
         std::printf("  sha/%-6s  %9.1f MB/s  (%.2fx)%s\n",
                     simd::name(target), mb_s, mb_s / sha_scalar_mb_s,
+                    identical ? "" : "  MISMATCH");
+        if (!identical)
+            return 1;
+    }
+
+    // LZ codec on the same Table 3 chunks: one series per direction.
+    // The compressed bytes must hash to the digest the pre-optimization
+    // kernel produced (the codec's byte-identity contract), and every
+    // block must decode back to its chunk.
+    constexpr std::string_view kLzGoldenDigest =
+        "6fc62195993e73cf285796938cc293329d1f3d8b5a8fa30001da6cff8abfb328";
+    std::vector<Buffer> blocks;
+    Sha256 lz_digest;
+    for (const Buffer &chunk : chunks) {
+        blocks.push_back(lz_compress(chunk));
+        lz_digest.update(blocks.back());
+    }
+    bool decodes = true;
+    for (std::size_t i = 0; decodes && i < blocks.size(); ++i) {
+        const Result<Buffer> raw = lz_decompress(blocks[i]);
+        decodes = raw.is_ok() && raw.value() == chunks[i];
+    }
+    const bool golden = lz_digest.finish().to_hex() == kLzGoldenDigest;
+    const double lz_bytes = static_cast<double>(kShaBatch * kChunkSize);
+    const double compress_mb_s =
+        lz_bytes /
+        seconds_per_pass([&] {
+            for (const Buffer &chunk : chunks)
+                benchmark::DoNotOptimize(lz_compress(chunk));
+        }) /
+        (1 << 20);
+    const double decompress_mb_s =
+        lz_bytes /
+        seconds_per_pass([&] {
+            for (const Buffer &block : blocks)
+                benchmark::DoNotOptimize(lz_decompress(block));
+        }) /
+        (1 << 20);
+    for (const auto &[kernel, mb_s, identical] :
+         {std::tuple{"lz_compress", compress_mb_s, golden},
+          std::tuple{"lz_decompress", decompress_mb_s, decodes}}) {
+        auto &json = report.begin_entry(kernel);
+        json.kv("kernel", kernel);
+        json.kv("mb_per_s", mb_s);
+        json.kv("identical_to_golden", identical);
+        report.end_entry();
+        std::printf("  %-13s %9.1f MB/s%s\n", kernel, mb_s,
                     identical ? "" : "  MISMATCH");
         if (!identical)
             return 1;

@@ -92,7 +92,7 @@ main(int argc, char **argv)
         if (writes % 100 == 0) {  // Sample compression, it is slow.
             comp_in += static_cast<double>(req.data.size());
             comp_out += static_cast<double>(
-                lz_compress(req.data, LzLevel::kFast).size());
+                lz_compress(req.data).size());
         }
     }
 

@@ -30,7 +30,8 @@
 #      (every result must survive on hosts without vector kernels),
 #      and the cross-target boundary/digest fuzz suite under
 #      ASan+UBSan so lane arithmetic in the new kernels is checked
-#      for UB, not just for identical output;
+#      for UB, not just for identical output; the LZ codec tests and
+#      the decoder fuzz suite run under ASan+UBSan as well;
 #  10. cluster scale-out smoke: bench_cluster_scaling --smoke gates on
 #      cluster-of-1 bit-identity with a bare FidrSystem, >= 3x 4-node
 #      aggregate write throughput, and fingerprint-routed dedup within
@@ -113,6 +114,17 @@ echo "== tier-1: SIMD kernels under ASan/UBSan (cross-target fuzz) =="
 cmake --build "$ASAN_DIR" -j "$JOBS" \
     --target test_simd_dispatch test_parallel_determinism
 ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" -L simd
+
+echo "== tier-1: LZ codec and decoder fuzz under ASan/UBSan =="
+# The LZ kernel does unaligned word loads and pattern-doubling copies;
+# the golden-digest, overlapping-match grid and reference-decoder
+# differential tests, plus every decoder fuzz suite, run sanitized.
+# UBSan halts on the first report so a finding fails the stage.
+cmake --build "$ASAN_DIR" -j "$JOBS" --target test_compress test_fuzz
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    "$ASAN_DIR"/tests/test_compress
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    "$ASAN_DIR"/tests/test_fuzz
 
 echo "== tier-1: trace+fault overhead smoke (armed-off <= 1.15x stripped) =="
 run_bench() {  # run_bench <build-dir> <filter-regex> -> best real_time

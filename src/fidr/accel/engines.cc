@@ -18,7 +18,7 @@ CompressionEngine::compress_stateless(
 {
     CompressedChunk out;
     out.raw_size = chunk.size();
-    out.data = lz_compress(chunk, level_);
+    out.data = lz_compress(chunk);
     return out;
 }
 

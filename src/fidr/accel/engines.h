@@ -11,8 +11,8 @@
  * its on-board memory for direct P2P transfer to the data SSDs
  * (Sec 6.1).
  *
- * Compression itself is the real LZ codec from fidr/compress, run at
- * the "fast" effort level that matches FPGA match-finder behaviour.
+ * Compression itself is the real LZ codec from fidr/compress, whose
+ * single-probe match finder matches FPGA match-finder behaviour.
  */
 #pragma once
 
@@ -37,9 +37,6 @@ struct CompressedChunk {
 /** FIDR Compression Engine (also the baseline's compression cores). */
 class CompressionEngine {
   public:
-    explicit CompressionEngine(LzLevel level = LzLevel::kFast)
-        : level_(level) {}
-
     /** Compresses one chunk. */
     CompressedChunk compress(std::span<const std::uint8_t> chunk);
 
@@ -73,7 +70,6 @@ class CompressionEngine {
     }
 
   private:
-    LzLevel level_;
     std::uint64_t chunks_ = 0;
     std::uint64_t bytes_in_ = 0;
     std::uint64_t bytes_out_ = 0;
@@ -117,9 +113,6 @@ struct BaselineBatchResult {
  */
 class BaselineReductionAccelerator {
   public:
-    explicit BaselineReductionAccelerator(LzLevel level = LzLevel::kFast)
-        : compressor_(level) {}
-
     BaselineBatchResult process_batch(
         std::span<const Buffer> chunks,
         const std::vector<bool> &predicted_unique);

@@ -1,6 +1,7 @@
 #include "fidr/compress/lz.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <vector>
 
@@ -20,9 +21,9 @@ constexpr unsigned kMinHashBits = 10;
 
 /**
  * Hash-table bits sized to the input (~1 slot per position, clamped):
- * a 4 KB chunk gets a 4 K-slot table instead of the former fixed 16 K,
- * so the per-call table clear shrinks 4x on the hot path while big
- * inputs keep the full table.  Deterministic: depends on size only.
+ * a 4 KB chunk gets a 4 K-slot table, so the per-call table fill stays
+ * small on the hot path while big inputs keep the full table.
+ * Deterministic: depends on size only.
  */
 unsigned
 hash_bits_for(std::size_t size)
@@ -34,24 +35,42 @@ hash_bits_for(std::size_t size)
 }
 
 std::uint32_t
-hash4(const std::uint8_t *p, unsigned bits)
+load32(const std::uint8_t *p)
 {
-    // 64-bit golden-ratio mix of the 4-byte key: the table index comes
-    // from the top bits of a full 64-bit product, which spreads low-
-    // entropy keys (runs, text) far better than the old 32-bit
-    // Knuth multiply — fewer collisions means the depth-1 "FPGA"
-    // search level lands on real candidates more often.
     std::uint32_t v;
     std::memcpy(&v, p, 4);
-    return static_cast<std::uint32_t>(
-        (v * 0x9E3779B185EBCA87ull) >> (64 - bits));
+    return v;
 }
 
+std::uint32_t
+hash4(std::uint32_t key, unsigned bits)
+{
+    // 64-bit golden-ratio mix of the 4-byte key: the index comes from
+    // the top bits of the full product, which spreads low-entropy keys
+    // (runs, text) far better than a 32-bit Knuth multiply.
+    return static_cast<std::uint32_t>((key * 0x9E3779B185EBCA87ull) >>
+                                      (64 - bits));
+}
+
+/** Length of the common prefix of `a` and `b`, with `b` ending at `limit`. */
 std::size_t
 match_length(const std::uint8_t *a, const std::uint8_t *b,
              const std::uint8_t *limit)
 {
     const std::uint8_t *start = b;
+    while (limit - b >= 8) {
+        std::uint64_t x, y;
+        std::memcpy(&x, a, 8);
+        std::memcpy(&y, b, 8);
+        if (const std::uint64_t diff = x ^ y; diff != 0) {
+            const int bits = std::endian::native == std::endian::little
+                                 ? std::countr_zero(diff)
+                                 : std::countl_zero(diff);
+            return static_cast<std::size_t>(b - start) + bits / 8;
+        }
+        a += 8;
+        b += 8;
+    }
     while (b < limit && *a == *b) {
         ++a;
         ++b;
@@ -59,120 +78,47 @@ match_length(const std::uint8_t *a, const std::uint8_t *b,
     return static_cast<std::size_t>(b - start);
 }
 
-void
-emit_length(Buffer &out, std::size_t extra)
+std::uint8_t *
+emit_length(std::uint8_t *op, std::size_t extra)
 {
     // 255-run extension coding shared by literal and match lengths.
-    while (extra >= 255) {
-        out.push_back(255);
-        extra -= 255;
-    }
-    out.push_back(static_cast<std::uint8_t>(extra));
+    for (; extra >= 255; extra -= 255)
+        *op++ = 255;
+    *op++ = static_cast<std::uint8_t>(extra);
+    return op;
 }
 
-void
-emit_sequence(Buffer &out, const std::uint8_t *lit, std::size_t lit_len,
+/** Writes one sequence at `op`; match_len 0 ends the block. */
+std::uint8_t *
+emit_sequence(std::uint8_t *op, const std::uint8_t *lit, std::size_t lit_len,
               std::size_t offset, std::size_t match_len)
 {
     const std::size_t lit_code = std::min<std::size_t>(lit_len, 15);
-    std::size_t match_code = 0;
-    if (match_len > 0) {
-        FIDR_CHECK(match_len >= kMinMatch);
-        match_code = std::min<std::size_t>(match_len - kMinMatch, 15);
-    }
-    out.push_back(static_cast<std::uint8_t>((lit_code << 4) | match_code));
+    const std::size_t match_code =
+        match_len > 0 ? std::min<std::size_t>(match_len - kMinMatch, 15) : 0;
+    *op++ = static_cast<std::uint8_t>((lit_code << 4) | match_code);
     if (lit_code == 15)
-        emit_length(out, lit_len - 15);
-    out.insert(out.end(), lit, lit + lit_len);
+        op = emit_length(op, lit_len - 15);
+    std::memcpy(op, lit, lit_len);
+    op += lit_len;
     if (match_len > 0) {
-        out.push_back(static_cast<std::uint8_t>(offset & 0xFF));
-        out.push_back(static_cast<std::uint8_t>(offset >> 8));
+        *op++ = static_cast<std::uint8_t>(offset & 0xFF);
+        *op++ = static_cast<std::uint8_t>(offset >> 8);
         if (match_code == 15)
-            emit_length(out, match_len - kMinMatch - 15);
+            op = emit_length(op, match_len - kMinMatch - 15);
     }
+    return op;
 }
 
 /**
- * Reusable per-thread chain storage: lz_compress runs per 4 KB chunk,
- * and reallocating (and zeroing) the chains for every chunk dominated
- * the match finder's cost.  Each compression lane reuses its own
- * scratch; the head table is re-cleared per call so output depends
- * only on the input.
+ * Per-thread head table and token buffer: lz_compress runs per 4 KB
+ * chunk, and reallocating both for every chunk would dominate the
+ * kernel.  The head table is refilled per call, so output depends only
+ * on the input.
  */
-struct MatchScratch {
+struct Scratch {
     std::vector<std::uint32_t> head;
-    std::vector<std::uint32_t> prev;
-};
-
-/** Hash-chain match finder over a 64 KiB window. */
-class MatchFinder {
-  public:
-    MatchFinder(const std::uint8_t *base, std::size_t size, int max_depth,
-                MatchScratch &scratch)
-        : base_(base), size_(size), max_depth_(max_depth),
-          hash_bits_(hash_bits_for(size)),
-          head_(scratch.head), prev_(scratch.prev)
-    {
-        head_.assign(std::size_t{1} << hash_bits_, kNone);
-        // prev_ entries are only ever read for positions inserted in
-        // this call (chains start at the cleared head table), so stale
-        // values from a previous chunk are unreachable.
-        if (prev_.size() < size_)
-            prev_.resize(size_);
-    }
-
-    /** Inserts position `pos` into the hash chains. */
-    void
-    insert(std::size_t pos)
-    {
-        if (pos + 4 > size_)
-            return;
-        const std::uint32_t h = hash4(base_ + pos, hash_bits_);
-        prev_[pos] = head_[h];
-        head_[h] = static_cast<std::uint32_t>(pos);
-    }
-
-    /**
-     * Finds the longest match for `pos` within the window.  Returns the
-     * length (0 if below kMinMatch) and sets `offset`.
-     */
-    std::size_t
-    find(std::size_t pos, std::size_t &offset) const
-    {
-        if (pos + kMinMatch > size_)
-            return 0;
-        const std::uint8_t *limit = base_ + size_;
-        std::size_t best_len = 0;
-        std::size_t best_off = 0;
-        std::uint32_t cand = head_[hash4(base_ + pos, hash_bits_)];
-        int depth = max_depth_;
-        while (cand != kNone && depth-- > 0) {
-            const std::size_t cpos = cand;
-            if (cpos >= pos || pos - cpos > kMaxOffset)
-                break;
-            const std::size_t len =
-                match_length(base_ + cpos, base_ + pos, limit);
-            if (len > best_len) {
-                best_len = len;
-                best_off = pos - cpos;
-            }
-            cand = prev_[cpos];
-        }
-        if (best_len < kMinMatch)
-            return 0;
-        offset = best_off;
-        return best_len;
-    }
-
-  private:
-    static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
-
-    const std::uint8_t *base_;
-    std::size_t size_;
-    int max_depth_;
-    unsigned hash_bits_;
-    std::vector<std::uint32_t> &head_;
-    std::vector<std::uint32_t> &prev_;
+    Buffer out;
 };
 
 Buffer
@@ -181,7 +127,7 @@ make_stored(std::span<const std::uint8_t> input)
     Buffer out(kHeaderSize + input.size());
     out[0] = kMethodStored;
     store_le(out.data() + 1, input.size(), 4);
-    std::memcpy(out.data() + kHeaderSize, input.data(), input.size());
+    std::copy(input.begin(), input.end(), out.begin() + kHeaderSize);
     return out;
 }
 
@@ -194,52 +140,68 @@ lz_max_compressed_size(std::size_t raw_size)
 }
 
 Buffer
-lz_compress(std::span<const std::uint8_t> input, LzLevel level)
+lz_compress(std::span<const std::uint8_t> input, LzLevel)
 {
-    if (input.size() < kMinMatch + 1 || input.size() > 0xFFFFFFFFull)
+    const std::size_t n = input.size();
+    if (n < kMinMatch + 1 || n > 0xFFFFFFFFull)
         return make_stored(input);
 
-    Buffer out;
-    out.reserve(input.size() / 2 + kHeaderSize);
-    out.push_back(kMethodLz);
-    out.resize(kHeaderSize);
-    store_le(out.data() + 1, input.size(), 4);
-
-    const int depth = level == LzLevel::kFast ? 1 : 32;
-    thread_local MatchScratch scratch;
-    MatchFinder finder(input.data(), input.size(), depth, scratch);
+    // Greedy single-probe match finder over a 64 KiB window.  A slot
+    // holds `last - position`, so the zero-filled table reads back as
+    // `last`: a readable position no candidate check accepts (it is
+    // never below `pos`).  The probe thus needs no empty-slot branch;
+    // the 4-byte key compare comes first and is the only branch taken
+    // per literal position.
+    thread_local Scratch scratch;
+    const unsigned bits = hash_bits_for(n);
+    const std::size_t last = n - kMinMatch;  // Last position with a key.
+    const std::size_t slots = std::size_t{1} << bits;
+    scratch.head.resize(std::max(scratch.head.size(), slots));
+    std::uint32_t *head = scratch.head.data();
+    std::memset(head, 0, slots * sizeof(*head));
+    // Tokens never outgrow the literals they carry by more than the
+    // 255-run extension bytes plus one sequence's fixed fields.
+    scratch.out.resize(std::max(scratch.out.size(), kHeaderSize + n +
+                                                        n / 255 + 16));
+    std::uint8_t *const out = scratch.out.data();
+    std::uint8_t *op = out + kHeaderSize;
+    const std::uint8_t *base = input.data();
 
     std::size_t pos = 0;
     std::size_t lit_start = 0;
-    while (pos < input.size()) {
-        std::size_t offset = 0;
-        const std::size_t len = finder.find(pos, offset);
-        if (len == 0) {
-            finder.insert(pos);
+    while (pos <= last) {
+        const std::uint32_t key = load32(base + pos);
+        std::uint32_t &slot = head[hash4(key, bits)];
+        const std::size_t cand = last - slot;
+        slot = static_cast<std::uint32_t>(last - pos);
+        if (load32(base + cand) != key || pos - cand - 1 >= kMaxOffset) {
             ++pos;
             continue;
         }
-        emit_sequence(out, input.data() + lit_start, pos - lit_start,
-                      offset, len);
+        const std::size_t len =
+            kMinMatch + match_length(base + cand + kMinMatch,
+                                     base + pos + kMinMatch, base + n);
+        op = emit_sequence(op, base + lit_start, pos - lit_start,
+                           pos - cand, len);
         // Index every position covered by the match so later data can
         // reference into it.
         const std::size_t end = pos + len;
-        while (pos < end) {
-            finder.insert(pos);
-            ++pos;
-        }
+        for (++pos; pos < end && pos <= last; ++pos)
+            head[hash4(load32(base + pos), bits)] =
+                static_cast<std::uint32_t>(last - pos);
+        pos = end;
         lit_start = pos;
-        if (out.size() + (input.size() - pos) >= input.size()) {
-            // Already no better than stored; bail out early.
-            return make_stored(input);
-        }
+        if (static_cast<std::size_t>(op - out) + (n - pos) >= n)
+            return make_stored(input);  // No better than stored already.
     }
-    emit_sequence(out, input.data() + lit_start, input.size() - lit_start,
-                  0, 0);
+    op = emit_sequence(op, base + lit_start, n - lit_start, 0, 0);
 
-    if (out.size() >= kHeaderSize + input.size())
+    const auto size = static_cast<std::size_t>(op - out);
+    if (size >= kHeaderSize + n)
         return make_stored(input);
-    return out;
+    out[0] = kMethodLz;
+    store_le(out + 1, n, 4);
+    return Buffer(out, op);
 }
 
 Result<Buffer>
@@ -257,60 +219,69 @@ lz_decompress(std::span<const std::uint8_t> block)
     }
     if (method != kMethodLz)
         return Status::corruption("unknown method byte");
+    // No payload byte expands to more than 255 output bytes; bound the
+    // untrusted header before allocating for it.
+    if (raw_size > 255 * (block.size() - kHeaderSize))
+        return Status::corruption("raw size exceeds payload bound");
 
-    Buffer out;
-    out.reserve(raw_size);
-    std::size_t pos = kHeaderSize;
+    Buffer out(raw_size);
+    std::uint8_t *const begin = out.data();
+    std::uint8_t *const end = begin + raw_size;
+    std::uint8_t *op = begin;
+    const std::uint8_t *ip = block.data() + kHeaderSize;
+    const std::uint8_t *const ip_end = block.data() + block.size();
 
     auto read_ext = [&](std::size_t &len) -> bool {
         std::uint8_t b;
         do {
-            if (pos >= block.size())
+            if (ip == ip_end)
                 return false;
-            b = block[pos++];
+            b = *ip++;
             len += b;
         } while (b == 255);
         return true;
     };
 
-    while (out.size() < raw_size) {
-        if (pos >= block.size())
+    while (op != end) {
+        if (ip == ip_end)
             return Status::corruption("truncated token stream");
-        const std::uint8_t token = block[pos++];
+        const std::uint8_t token = *ip++;
         std::size_t lit_len = token >> 4;
         if (lit_len == 15 && !read_ext(lit_len))
             return Status::corruption("truncated literal length");
-        if (pos + lit_len > block.size())
+        if (lit_len > static_cast<std::size_t>(ip_end - ip))
             return Status::corruption("truncated literals");
-        out.insert(out.end(), block.begin() + pos,
-                   block.begin() + pos + lit_len);
-        pos += lit_len;
-        if (out.size() >= raw_size)
+        if (lit_len > static_cast<std::size_t>(end - op))
+            return Status::corruption("decompressed size mismatch");
+        std::memcpy(op, ip, lit_len);
+        op += lit_len;
+        ip += lit_len;
+        if (op == end)
             break;
 
-        if (pos + 2 > block.size())
+        if (ip_end - ip < 2)
             return Status::corruption("truncated match offset");
-        const std::size_t offset = load_le(block.data() + pos, 2);
-        pos += 2;
+        const std::size_t offset = load_le(ip, 2);
+        ip += 2;
         std::size_t match_len = (token & 0xF) + kMinMatch;
-        if ((token & 0xF) == 15) {
-            std::size_t extra = 0;
-            if (!read_ext(extra))
-                return Status::corruption("truncated match length");
-            match_len += extra;
-        }
-        if (offset == 0 || offset > out.size())
+        if ((token & 0xF) == 15 && !read_ext(match_len))
+            return Status::corruption("truncated match length");
+        if (offset == 0 || offset > static_cast<std::size_t>(op - begin))
             return Status::corruption("match offset out of window");
-        if (out.size() + match_len > raw_size)
+        if (match_len > static_cast<std::size_t>(end - op))
             return Status::corruption("match overruns raw size");
-        // Byte-by-byte copy: overlapping matches (offset < length) are
-        // the RLE case and must replicate the just-written bytes.
-        std::size_t src = out.size() - offset;
-        for (std::size_t i = 0; i < match_len; ++i)
-            out.push_back(out[src + i]);
+        // An overlapping match (offset < length) repeats the last
+        // `offset` bytes; copying from the pattern start with a span
+        // that doubles each step keeps every memcpy disjoint.
+        const std::uint8_t *src = op - offset;
+        for (std::uint8_t *const stop = op + match_len; op != stop;) {
+            const std::size_t step = std::min<std::size_t>(
+                static_cast<std::size_t>(op - src),
+                static_cast<std::size_t>(stop - op));
+            std::memcpy(op, src, step);
+            op += step;
+        }
     }
-    if (out.size() != raw_size)
-        return Status::corruption("decompressed size mismatch");
     return out;
 }
 

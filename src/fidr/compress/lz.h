@@ -17,7 +17,8 @@
  * follow, 255-run coded) and the low nibble is match_length - 4.  The
  * final sequence of a block carries literals only; the decoder stops
  * when raw_size bytes have been produced.  Matches reference a 64 KiB
- * sliding window with hash-chain search.
+ * sliding window through a single-probe hash table (greedy, first hit
+ * only), the shallow search FPGA match finders use.
  */
 #pragma once
 
@@ -30,10 +31,10 @@
 
 namespace fidr {
 
-/** Effort knob for the match finder. */
+/** The codec's only effort level; lz_compress accepts it for callers
+ *  that name it. */
 enum class LzLevel {
-    kFast,     ///< First hash hit only (shallow search), FPGA-like.
-    kDefault,  ///< Hash-chain search with bounded depth.
+    kFast,  ///< First hash hit only (shallow search), FPGA-like.
 };
 
 /** Upper bound on compress() output size for a given input size. */
@@ -45,11 +46,12 @@ std::size_t lz_max_compressed_size(std::size_t raw_size);
  * never exceeds lz_max_compressed_size(input.size()).
  */
 Buffer lz_compress(std::span<const std::uint8_t> input,
-                   LzLevel level = LzLevel::kDefault);
+                   LzLevel level = LzLevel::kFast);
 
 /**
  * Decompresses a block produced by lz_compress.  Returns kCorruption
- * for truncated or malformed input rather than reading out of bounds.
+ * for truncated or malformed input rather than reading out of bounds,
+ * and before allocating for a raw_size the payload cannot produce.
  */
 Result<Buffer> lz_decompress(std::span<const std::uint8_t> block);
 

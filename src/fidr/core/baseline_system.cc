@@ -12,8 +12,7 @@ BaselineSystem::BaselineSystem(const BaselineConfig &config)
       dedup_(table_cache_),
       containers_(platform_.data_ssds(), config.container_bytes),
       predictor_(config.predictor_window,
-                 config.predictor_fingerprint_bits),
-      accel_(LzLevel::kFast)
+                 config.predictor_fingerprint_bits)
 {
     // The table cache content and the staging buffers live in host
     // DRAM in the baseline.

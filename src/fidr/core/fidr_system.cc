@@ -17,7 +17,6 @@ FidrSystem::FidrSystem(const FidrConfig &config)
                           config.chunk_cache_two_tier
                       ? config.chunk_cache_spill_bytes
                       : 0),
-      compressor_(LzLevel::kFast),
       gc_scheduler_(config.gc)
 {
     const std::size_t compress_lanes =

@@ -54,8 +54,7 @@ TEST_P(FuzzTest, LzDecompressNeverMisbehaves)
         }
 
         // Mutated valid block: either decodes consistently or fails.
-        Buffer block = lz_compress(
-            workload::make_chunk_content(i, 0.5), LzLevel::kFast);
+        Buffer block = lz_compress(workload::make_chunk_content(i, 0.5));
         mutate(rng, block);
         Result<Buffer> out2 = lz_decompress(block);
         if (out2.is_ok())
