@@ -70,9 +70,7 @@ def identity(entry):
                    "gc_pause_p99_ns",
                    # Two-tier cache counters ("tier" itself stays an
                    # identity field: one/two/two+spill are distinct
-                   # series, their counters are measurements; likewise
-                   # "demote_batch" is identity, its churn counters are
-                   # not).
+                   # series, their counters are measurements).
                    "warm_hits", "spill_hits", "spill_writes",
                    "demotions", "demote_passes",
                    # Cluster bench measurements ("nodes" and "routing"

@@ -22,7 +22,8 @@
 #   7. read-plane smoke: bench_read_throughput --smoke gates on
 #      lane/cache-invariant payloads (capacity 0 = cache off is the
 #      equivalence baseline), a nonzero Zipfian chunk-cache hit rate,
-#      and fewer data-SSD fetch DMAs with the cache on;
+#      fewer data-SSD fetch DMAs with the cache on, and >= 4
+#      demotions per rebalance pass at the tight two-tier budget;
 #   8. GC steady-state smoke: bench_gc_steadystate --smoke gates on
 #      churn never failing a write, GC overlapping in-flight batches,
 #      the reserve watermark holding, and a clean fsck;
@@ -30,8 +31,9 @@
 #      (every result must survive on hosts without vector kernels),
 #      and the cross-target boundary/digest fuzz suite under
 #      ASan+UBSan so lane arithmetic in the new kernels is checked
-#      for UB, not just for identical output; the LZ codec tests and
-#      the decoder fuzz suite run under ASan+UBSan as well;
+#      for UB, not just for identical output; the LZ codec tests, the
+#      decoder fuzz suite, the chunk-cache unit tests and the read
+#      plane tests run under ASan+UBSan as well;
 #  10. cluster scale-out smoke: bench_cluster_scaling --smoke gates on
 #      cluster-of-1 bit-identity with a bare FidrSystem, >= 3x 4-node
 #      aggregate write throughput, and fingerprint-routed dedup within
@@ -85,7 +87,7 @@ cmake --build "$TSAN_DIR" -j "$JOBS" \
 # and the power-cut-with-batches-in-flight crash sweep, raced by TSan.
 "$TSAN_DIR"/tests/test_pipeline_determinism
 # Read-plane fan-out: concurrent fetch+decompress lanes against the
-# sharded two-tier chunk cache (hot/warm/spill lookups, admission) and
+# sharded two-tier chunk cache (hot/warm/spill lookups and fills) and
 # atomic SSD read counters, raced by TSan.
 "$TSAN_DIR"/tests/test_read_plane
 # Incremental GC on the commit sequencer raced against in-flight write
@@ -125,6 +127,19 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     "$ASAN_DIR"/tests/test_compress
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     "$ASAN_DIR"/tests/test_fuzz
+
+echo "== tier-1: chunk cache and read plane under ASan/UBSan =="
+# The chunk cache's single fill path splices std::list nodes between
+# the hot and warm tiers and unlinks entries across shards on rekey;
+# the read plane's one job path falls back from a failed spill read to
+# the container fetch.  The cache unit tests, the golden read-plane
+# digests and the spill-fallback test run sanitized.
+cmake --build "$ASAN_DIR" -j "$JOBS" \
+    --target test_chunk_cache_tiers test_read_plane
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    "$ASAN_DIR"/tests/test_chunk_cache_tiers
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    "$ASAN_DIR"/tests/test_read_plane
 
 echo "== tier-1: trace+fault overhead smoke (armed-off <= 1.15x stripped) =="
 run_bench() {  # run_bench <build-dir> <filter-regex> -> best real_time
@@ -196,7 +211,8 @@ echo "== tier-1: read-plane smoke (lanes x cache x tier sweep) =="
 # optimization — fetch/hit/warm/spill counts lane-invariant, and on
 # the Zipfian hot set, at the same DRAM budget: one-tier strictly
 # beats cache-off, two-tier strictly beats one-tier on hit rate and
-# data-SSD fetches, and the spill ring strictly beats plain two-tier.
+# data-SSD fetches, and the spill ring strictly beats plain two-tier;
+# at the tight budget two-tier demotes >= 4 entries per rebalance pass.
 (cd "$BUILD_DIR"/bench && ./bench_read_throughput --smoke)
 
 echo "== tier-1: GC steady-state smoke (churn vs reserve watermark) =="

@@ -17,13 +17,14 @@
  *    compression a warm byte holds 2-3x the chunks a hot byte does.
  *
  * Eviction cascades downward: hot LRU tails *demote* to warm (drop the
- * decompressed buffer, keep the compressed one), warm LRU tails leave
- * DRAM — into the optional *spill* tier when a SpillBackend is
- * attached (a reserved data-SSD region written as a sequential ring of
- * compressed images), otherwise they are gone.  A warm or spill
- * re-reference *promotes* back to hot: the caller decompresses (that
- * is read-path work with read-path billing) and hands the raw bytes
- * back via promote().
+ * decompressed buffer, keep the compressed one) in batches of up to 8
+ * entries per pass (kDemoteBatch), warm LRU tails leave DRAM — into the
+ * optional *spill* tier when a SpillBackend is attached (a reserved
+ * data-SSD region written as a sequential ring of compressed images),
+ * otherwise they are gone.  Every fill goes through one entry point:
+ * the caller hands back the decompressed payload with fill(), which
+ * inserts a miss, and *promotes* a warm or spill re-reference back to
+ * hot.
  *
  * The hot/warm split self-tunes instead of being a knob: each shard
  * keeps two bounded ghost-LRU lists of recently demoted / recently
@@ -32,33 +33,25 @@
  * decompress — grow the hot target one step.  A miss or spill hit
  * whose key is in the warm-ghost means a larger warm tier would have
  * kept it in DRAM — shrink the hot target.  Targets are clamped to
- * [hot_fraction_min, hot_fraction_max] of the shard budget.
- *
- * Admission (HPDedup's locality-priority argument, off by default and
- * enabled per config): chunks whose compressed image is >= ~90% of raw
- * never enter (a warm slot would buy nothing over refetching), and a
- * small per-shard count-min sketch with periodic halving gates
- * one-hit wonders — a chunk is admitted only once it has missed twice
- * within the sketch's aging window.
+ * [10%, 90%] of the shard budget.
  *
  * Sharding follows the TableCache pattern: N = 2^k shards, each with
- * its own tier lists, byte budget, ghost lists, sketch, stats and
- * mutex.  The spill ring (index, write cursor, occupancy map) is
- * global under its own mutex; every acquisition orders shard mutex(es)
- * before the spill mutex, and multi-shard operations (rekey) take both
- * shard locks via std::scoped_lock, so a warm/spill entry can never be
- * observed under a key whose physical location is already gone.
+ * its own tier lists, byte budget, ghost lists, stats and mutex.  The
+ * spill ring (index, write cursor, occupancy map) is global under its
+ * own mutex; every acquisition orders shard mutex(es) before the spill
+ * mutex, and multi-shard operations (rekey) take both shard locks via
+ * std::lock, so a warm/spill entry can never be observed under a key
+ * whose physical location is already gone.
  *
  * Coherence is unchanged from PR 5/8: chunk images are immutable;
  * owners invalidate by key (PBN retirement), by container (GC
- * discard), re-key on GC relocation — each of these now covers *all*
+ * discard), re-key on GC relocation — each of these covers *all*
  * tiers including the spill index atomically — and clear() on crash
  * recovery (the spill index lives in host DRAM, so spilled bytes die
  * with the power even though the region itself is flash).
  */
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -106,7 +99,6 @@ enum class CacheTier : std::uint8_t { kNone, kHot, kWarm, kSpill };
 struct SpillRef {
     std::uint64_t offset = 0;   ///< Byte offset inside the spill region.
     std::uint32_t size = 0;     ///< Compressed bytes.
-    std::uint32_t raw_size = 0; ///< Decompressed bytes (sanity check).
 };
 
 /**
@@ -134,56 +126,6 @@ class SpillBackend {
                                 std::uint64_t size) const = 0;
 };
 
-/** Cache behaviour knobs (FidrConfig surfaces the interesting ones). */
-struct ChunkCacheTuning {
-    /** false = the PR 5 one-tier decompressed LRU, bit-for-bit: no
-     *  warm tier, no demotion, no ghosts; an eviction drops the entry.
-     *  The equal-budget baseline the bench compares against. */
-    bool two_tier = true;
-
-    /** Enables the admission filters below.  Off by default so the
-     *  cache stays a pure always-admit optimization unless asked. */
-    bool admission = false;
-
-    /** Chunks with compressed >= this fraction of raw are not cached
-     *  (a warm slot would hold nearly raw-size bytes for no gain). */
-    double incompressible_fraction = 0.90;
-
-    /** Doorkeeper: sketch estimate required before a fill is admitted.
-     *  2 = the chunk must miss twice inside the aging window. */
-    unsigned admit_frequency = 2;
-
-    /** Clamp band and starting point for the adaptive hot-tier byte
-     *  target, as fractions of each shard's budget. */
-    double hot_fraction_min = 0.10;
-    double hot_fraction_max = 0.90;
-    double hot_fraction_initial = 0.50;
-
-    /** Ghost-hit adaptation step, as a fraction of the shard budget.
-     *  The step is asymmetric: shrink signals (ghost-warm hits — a
-     *  bigger warm tier would have kept the image in DRAM) move the
-     *  target by the full step, grow signals (ghost-hot hits — a
-     *  bigger hot tier would have skipped a decompress) by a quarter
-     *  of it.  A hot entry bills raw + compressed bytes, ~3-4x a warm
-     *  entry, and a demoted key is almost always still warm-resident
-     *  when it re-hits, so an unweighted grow signal saturates and
-     *  drags the split toward the low-density hot tier. */
-    double adapt_step_fraction = 0.02;
-
-    /** Bounded ghost-list length (keys) per shard per list. */
-    std::size_t ghost_entries = 1024;
-
-    /** Hot-tier demotion batch: once an insert pushes the hot tier
-     *  over its byte target, demote at least this many tail entries
-     *  in one pass (bounded by what the target actually requires
-     *  downward pressure for — see rebalance()).  Batching creates
-     *  hot-tier slack so a near-fit working set does not demote and
-     *  re-promote the same tail entry on every insert (the DESIGN.md
-     *  §16 Read-Mixed 4 MiB regression).  1 = the legacy
-     *  demote-exactly-to-target behaviour, bit-for-bit. */
-    std::size_t demote_batch = 1;
-};
-
 /** Per-tier counters (all maintained per shard, summed by stats()). */
 struct TierStats {
     std::uint64_t hits = 0;
@@ -207,19 +149,16 @@ struct ChunkCacheStats {
     TierStats spill;
     std::uint64_t demotions = 0;   ///< hot -> warm (raw buffer dropped).
     std::uint64_t promotions = 0;  ///< warm/spill -> hot.
-    /** Rebalance passes that demoted at least one entry.  With
-     *  demote_batch = K each pass demotes up to K tail entries, so
-     *  passes / demotions measures how well the per-pass bookkeeping
-     *  amortizes (DESIGN.md §16 near-fit churn). */
+    /** Rebalance passes that demoted at least one entry.  Each pass
+     *  demotes up to 8 tail entries (kDemoteBatch), so passes / demotions
+     *  measures how well the per-pass bookkeeping amortizes
+     *  (DESIGN.md §16 near-fit churn). */
     std::uint64_t demote_passes = 0;
 
     std::uint64_t spill_writes = 0;
     std::uint64_t spill_write_failures = 0;
     /** Live spill entries lapped by the ring's write cursor. */
     std::uint64_t spill_overwritten = 0;
-
-    std::uint64_t rejected_incompressible = 0;
-    std::uint64_t rejected_doorkeeper = 0;
 
     /** Warm/spill hits whose key was still in the hot ghost (a bigger
      *  hot tier would have skipped the decompress). */
@@ -244,7 +183,6 @@ struct TierLookup {
     Buffer raw;         ///< kHot: the decompressed payload (a copy).
     Buffer compressed;  ///< kWarm: the compressed image (a copy).
     SpillRef spill;     ///< kSpill: where to read the image from.
-    std::uint32_t raw_size = 0;  ///< Decompressed size (warm/spill).
 
     bool hit() const { return tier != CacheTier::kNone; }
 };
@@ -261,54 +199,48 @@ class ChunkReadCache {
      * @param capacity_bytes total DRAM budget (hot raw+compressed and
      *        warm compressed bytes), split evenly across shards.
      * @param shards power-of-two shard count; 1 = one global LRU.
-     * @param tuning tier/admission/adaptation behaviour.
+     * @param two_tier false = the PR 5 one-tier decompressed LRU,
+     *        bit-for-bit: no warm tier, no demotion, no ghosts, no
+     *        spill; an eviction drops the entry.  The equal-budget
+     *        baseline the read bench compares against.
      * @param spill optional spill device; nullptr (or a zero-capacity
      *        backend, or one-tier mode) disables the spill tier.
      *        Not owned; must outlive the cache.
      */
     ChunkReadCache(std::uint64_t capacity_bytes, std::size_t shards = 1,
-                   ChunkCacheTuning tuning = {},
-                   SpillBackend *spill = nullptr);
+                   bool two_tier = true, SpillBackend *spill = nullptr);
 
     /**
-     * Tiered probe, refreshing recency and feeding the admission
-     * sketch + ghost estimators.  A hot hit returns the payload; a
-     * warm hit returns the compressed image (the caller decompresses
-     * and calls promote()); a spill hit returns the ring location (the
-     * caller reads + decompresses + promote()s).  The entry itself
-     * stays put until promote(), so a caller that fails mid-way leaves
-     * the cache consistent.
+     * Tiered probe, refreshing recency and feeding the ghost
+     * estimators.  A hot hit returns the payload; a warm hit returns
+     * the compressed image (the caller decompresses and calls fill());
+     * a spill hit returns the ring location (the caller reads +
+     * decompresses + fill()s).  The entry itself stays put until
+     * fill(), so a caller that fails mid-way leaves the cache
+     * consistent.
      */
     TierLookup lookup(const ChunkKey &key);
 
     /**
      * Side-effect-free residency probe: which tier holds `key` right
-     * now, or kNone.  Touches no recency order, stats, ghost, or
-     * sketch state — safe for tests and debug tooling to call without
-     * perturbing adaptation.
+     * now, or kNone.  Touches no recency order, stats or ghost state —
+     * safe for tests and debug tooling to call without perturbing
+     * adaptation.
      */
     CacheTier peek(const ChunkKey &key) const;
 
     /**
-     * Miss fill: caches the chunk in the hot tier (evicting down the
-     * cascade until everything fits), subject to admission.  In
-     * one-tier mode `compressed` is ignored and only raw bytes are
-     * billed, reproducing the PR 5 cache exactly.  Payloads larger
-     * than a shard's budget are not cached.  Re-inserting a resident
-     * key refreshes content and recency.
+     * Hands the decompressed chunk back after a lookup and makes it the
+     * hot tier's MRU entry, evicting down the cascade until everything
+     * fits.  A miss enters as a new entry; a warm entry re-attaches the
+     * payload and a spilled one re-enters DRAM and leaves the spill
+     * index (both count as promotions); a hot entry only refreshes its
+     * recency.  In one-tier mode `compressed` is ignored and only raw
+     * bytes are billed, reproducing the PR 5 cache exactly.  Payloads
+     * larger than a shard's budget are not cached.
      */
-    void insert(const ChunkKey &key, const Buffer &raw,
-                const Buffer &compressed);
-
-    /**
-     * Completes a warm or spill hit: re-attaches the decompressed
-     * payload and moves the entry to the hot tier's MRU position (a
-     * spill entry re-enters DRAM and leaves the spill index).
-     * Admission does not re-run — the entry already passed it.  A key
-     * no longer resident anywhere falls back to a plain insert.
-     */
-    void promote(const ChunkKey &key, const Buffer &raw,
-                 const Buffer &compressed);
+    void fill(const ChunkKey &key, const Buffer &raw,
+              const Buffer &compressed);
 
     /** Drops one entry from every tier it is resident in. */
     void invalidate(const ChunkKey &key);
@@ -340,7 +272,6 @@ class ChunkReadCache {
 
     std::size_t shard_count() const { return shards_.size(); }
     std::uint64_t capacity_bytes() const { return capacity_bytes_; }
-    const ChunkCacheTuning &tuning() const { return tuning_; }
     bool spill_enabled() const { return spill_capacity_ > 0; }
     std::uint64_t spill_capacity_bytes() const { return spill_capacity_; }
 
@@ -367,7 +298,6 @@ class ChunkReadCache {
         ChunkKey key;
         Buffer raw;         ///< Non-empty iff the entry is hot.
         Buffer compressed;  ///< Always kept in two-tier mode.
-        std::uint32_t raw_size = 0;  ///< Survives demotion.
     };
 
     /** Bounded LRU of keys-only: the ghost estimators. */
@@ -383,23 +313,10 @@ class ChunkReadCache {
         void clear();
     };
 
-    /** Count-min doorkeeper with saturating 4-bit-equivalent counters
-     *  and periodic halving (TinyLFU-style aging). */
-    struct Sketch {
-        static constexpr std::size_t kRows = 4;
-        static constexpr std::size_t kWidth = 1024;  ///< Power of two.
-        std::array<std::uint8_t, kRows * kWidth> counts{};
-        std::uint64_t adds = 0;
-
-        void add(const ChunkKey &key);
-        unsigned estimate(const ChunkKey &key) const;
-    };
-
     /**
      * One shard: hot and warm LRU lists (front = most recent), a key
-     * index over both, byte accounting, the adaptive hot target, ghost
-     * lists and the admission sketch.  unique_ptr because std::mutex
-     * is immovable.
+     * index over both, byte accounting, the adaptive hot target and the
+     * ghost lists.  unique_ptr because std::mutex is immovable.
      */
     struct Shard {
         std::list<Entry> hot;
@@ -408,13 +325,13 @@ class ChunkReadCache {
             bool hot = false;
             std::list<Entry>::iterator it;
         };
-        std::unordered_map<ChunkKey, Slot, ChunkKeyHash> index;
+        using Index = std::unordered_map<ChunkKey, Slot, ChunkKeyHash>;
+        Index index;
         std::uint64_t hot_bytes = 0;   ///< Billed (raw + compressed).
         std::uint64_t warm_bytes = 0;  ///< Billed (compressed).
         std::uint64_t hot_target = 0;  ///< Adaptive, clamped.
         GhostList ghost_hot;
         GhostList ghost_warm;
-        Sketch sketch;
         ChunkCacheStats stats;
         mutable std::mutex mutex;
     };
@@ -435,6 +352,12 @@ class ChunkReadCache {
 
     Shard &shard_for(const ChunkKey &key)
     { return *shards_[shard_of(key)]; }
+
+    /** Caller holds `shard.mutex`.  Unlinks a resident entry from its
+     *  tier (and the index) and returns it. */
+    Entry unlink(Shard &shard, Shard::Index::iterator slot);
+    /** Caller holds spill_.mutex.  Drops `key`'s ring entry, if any. */
+    bool spill_erase(const ChunkKey &key);
 
     std::uint64_t billed_hot(const Entry &entry) const;
     std::uint64_t billed_warm(const Entry &entry) const;
@@ -458,7 +381,7 @@ class ChunkReadCache {
     std::uint64_t capacity_bytes_ = 0;
     std::uint64_t shard_capacity_ = 0;
     std::size_t shard_mask_ = 0;
-    ChunkCacheTuning tuning_;
+    bool two_tier_ = true;
     SpillBackend *spill_backend_ = nullptr;
     std::uint64_t spill_capacity_ = 0;
     std::uint64_t adapt_step_ = 0;

@@ -1,11 +1,41 @@
 #include "fidr/core/fidr_system.h"
 
+#include <algorithm>
+
 #include "fidr/common/bytes.h"
 #include "fidr/fault/failpoint.h"
 #include "fidr/host/calibration.h"
 #include "fidr/obs/trace.h"
 
 namespace fidr::core {
+
+namespace {
+
+/** Tail exemplars retained per stage histogram: each keeps the N
+ *  slowest (latency, trace_id) pairs seen, so a p99 bucket points at
+ *  concrete captured request traces (`fidr_obs_report attribute`
+ *  resolves them).  With FIDR_TRACE=OFF no trace ids exist, so the
+ *  reservoirs stay empty and the record path is unchanged. */
+constexpr std::size_t kTailExemplars = 4;
+
+/** Backoff accounted for the first transient retry; attempt n
+ *  accounts kRetryBackoffNs << n. */
+constexpr std::uint64_t kRetryBackoffNs = 20'000;
+
+/** Cap on the backoff shift: `transient_retries` is settable, and an
+ *  unbounded shift is UB past 63. */
+constexpr unsigned kMaxBackoffShift = 20;
+static_assert(kRetryBackoffNs <= (UINT64_MAX >> kMaxBackoffShift),
+              "capped backoff must not overflow the accumulator");
+
+/** Backoff accounted for retry attempt `attempt` (0-based). */
+std::uint64_t
+backoff_for(unsigned attempt)
+{
+    return kRetryBackoffNs << std::min(attempt, kMaxBackoffShift);
+}
+
+}  // namespace
 
 FidrSystem::FidrSystem(const FidrConfig &config)
     : config_(config),
@@ -26,12 +56,8 @@ FidrSystem::FidrSystem(const FidrConfig &config)
         compress_pool_ = std::make_unique<ThreadPool>(compress_lanes);
     read_pipeline_ = std::make_unique<ReadPipeline>(config_.read_lanes);
     if (config_.chunk_cache_bytes > 0) {
-        cache::ChunkCacheTuning tuning;
-        tuning.two_tier = config_.chunk_cache_two_tier;
-        tuning.admission = config_.chunk_cache_admission;
-        tuning.demote_batch =
-            std::max<std::size_t>(1, config_.chunk_cache_demote_batch);
-        if (tuning.two_tier && containers_.spill_capacity_bytes() > 0) {
+        if (config_.chunk_cache_two_tier &&
+            containers_.spill_capacity_bytes() > 0) {
             spill_device_ = std::make_unique<SpillDevice>(
                 *this, containers_.spill_ssd_index(),
                 containers_.spill_base(),
@@ -39,7 +65,7 @@ FidrSystem::FidrSystem(const FidrConfig &config)
         }
         chunk_cache_ = std::make_unique<cache::ChunkReadCache>(
             config_.chunk_cache_bytes, config_.chunk_cache_shards,
-            tuning, spill_device_.get());
+            config_.chunk_cache_two_tier, spill_device_.get());
     }
     build_cache_structures();
 
@@ -96,20 +122,17 @@ FidrSystem::FidrSystem(const FidrConfig &config)
     pipe_execute_busy_ =
         &metrics_.histogram("pipeline.stage.execute.busy_ns");
 
-    if (config_.tail_exemplars > 0) {
-        // Tail exemplars on every Fig 6 stage histogram: the slowest
-        // recorded samples keep their request trace id, so a fat p99
-        // names concrete traces.  Configured here, before any record,
-        // per the quiescence contract.
-        for (obs::Histogram *h :
-             {hist_.nic_buffer, hist_.batch, hist_.hash,
-              hist_.digest_xfer, hist_.bucket_index, hist_.dedup_resolve,
-              hist_.verdict_xfer, hist_.map_update, hist_.compress,
-              hist_.container_append, hist_.journal, hist_.read_total,
-              hist_.read_resolve, hist_.read_fetch,
-              hist_.read_decompress, hist_.read_return})
-            h->set_exemplar_capacity(config_.tail_exemplars);
-    }
+    // Tail exemplars on every Fig 6 stage histogram: the slowest
+    // recorded samples keep their request trace id, so a fat p99 names
+    // concrete traces.  Configured here, before any record, per the
+    // quiescence contract.
+    for (obs::Histogram *h :
+         {hist_.nic_buffer, hist_.batch, hist_.hash, hist_.digest_xfer,
+          hist_.bucket_index, hist_.dedup_resolve, hist_.verdict_xfer,
+          hist_.map_update, hist_.compress, hist_.container_append,
+          hist_.journal, hist_.read_total, hist_.read_resolve,
+          hist_.read_fetch, hist_.read_decompress, hist_.read_return})
+        h->set_exemplar_capacity(kTailExemplars);
     if (config_.in_flight_batches > 1) {
         WritePipelineConfig pipeline;
         pipeline.depth = config_.in_flight_batches;
@@ -199,21 +222,6 @@ FidrSystem::build_cache_structures()
         platform_.hash_table(), *index_, platform_.cache_lines(),
         config_.eviction_policy, shards);
     dedup_ = std::make_unique<DedupIndex>(*table_cache_);
-}
-
-std::uint64_t
-FidrSystem::backoff_for(unsigned attempt) const
-{
-    // Exponential backoff, saturated: `retry_backoff_ns << attempt`
-    // is UB past 63 and silently wraps long before that for large
-    // base values, so the shift is capped and the product clamps to
-    // the accumulator's ceiling instead of wrapping to ~0.
-    constexpr unsigned kMaxBackoffShift = 20;
-    const unsigned shift =
-        attempt < kMaxBackoffShift ? attempt : kMaxBackoffShift;
-    if (config_.retry_backoff_ns > (UINT64_MAX >> shift))
-        return UINT64_MAX;
-    return config_.retry_backoff_ns << shift;
 }
 
 Status
@@ -1382,101 +1390,73 @@ FidrSystem::run_read_jobs(std::vector<ReadJob> &jobs)
 {
     pcie::Fabric &fabric = platform_.fabric();
 
-    // Fan-out stage: fetch + decompress every cache-miss job.  Pure
-    // per-job work only — flash page copies, the LZ kernel, job-local
-    // retry counts and timings.  No ledger, stat or histogram is
-    // touched here (the determinism contract of read_pipeline.h).
+    // Fan-out stage: fetch + decompress every job the hot tier did not
+    // serve.  Pure per-job work only — flash page copies, the LZ
+    // kernel, job-local retry counts and timings.  No ledger, stat or
+    // histogram is touched here (the determinism contract of
+    // read_pipeline.h).
     std::vector<std::size_t> pending;
     pending.reserve(jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-        if (!jobs[j].cache_hit)
+        if (jobs[j].tier != cache::CacheTier::kHot)
             pending.push_back(j);
     }
-    read_pipeline_->run(
-        jobs, pending,
-        [this](ReadJob &job) {
-            // Warm-tier hit: the compressed image is already in hand;
-            // the lane only decompresses.
-            if (job.tier == cache::CacheTier::kWarm) {
-                job.compressed_bytes = job.compressed.size();
-                const obs::StageTimer decompress_timer;
-                Result<Buffer> raw =
-                    decomp_.decompress_stateless(job.compressed);
-                job.decompress_ns = decompress_timer.elapsed_ns();
-                if (!raw.is_ok()) {
-                    job.status = raw.status();
-                    return;
-                }
-                job.fetch_ok = true;
-                job.payload = raw.take();
-                return;
-            }
-            // Spill-tier hit: read the image back from the ring, then
-            // decompress.  Any failure (transient budget exhausted,
-            // torn/lapped bytes failing decode or the size check)
-            // falls back to the authoritative container fetch below —
-            // the spill tier is best-effort by contract.
-            if (job.tier == cache::CacheTier::kSpill) {
-                const obs::StageTimer fetch_timer;
-                Result<Buffer> data =
-                    spill_device_->read(job.spill.offset, job.spill.size);
-                while (!data.is_ok() &&
-                       data.status().code() == StatusCode::kUnavailable &&
-                       job.fetch_attempts < config_.transient_retries) {
-                    ++job.fetch_attempts;
-                    data = spill_device_->read(job.spill.offset,
-                                               job.spill.size);
-                }
-                job.fetch_ns = fetch_timer.elapsed_ns();
-                if (data.is_ok()) {
-                    job.compressed = data.take();
-                    job.compressed_bytes = job.compressed.size();
-                    const obs::StageTimer decompress_timer;
-                    Result<Buffer> raw =
-                        decomp_.decompress_stateless(job.compressed);
-                    job.decompress_ns = decompress_timer.elapsed_ns();
-                    if (raw.is_ok() &&
-                        raw.value().size() == job.raw_size) {
-                        job.fetch_ok = true;
-                        job.payload = raw.take();
-                        return;
-                    }
-                }
-                job.spill_fallback = true;
-                job.fetch_attempts = 0;
-                job.compressed.clear();
-                job.compressed_bytes = 0;
-            }
+    const auto load = [this](ReadJob &job) {
+        // The tier only picks where the compressed image comes from:
+        // a warm hit already holds it, a spill hit reads the ring, a
+        // miss reads the container log.
+        const auto read_image = [&]() -> Result<Buffer> {
+            if (job.tier == cache::CacheTier::kSpill)
+                return spill_device_->read(job.spill.offset,
+                                           job.spill.size);
+            return containers_.read(job.location);
+        };
+        if (job.tier != cache::CacheTier::kWarm) {
             const obs::StageTimer fetch_timer;
-            Result<Buffer> data = containers_.read(job.location);
-            // Degraded mode: transient flash errors retry with
-            // backoff; attempts are counted locally and accounted
-            // after the join.
+            Result<Buffer> data = read_image();
+            // Degraded mode: transient flash errors retry with backoff;
+            // attempts are counted locally and accounted after the
+            // join.
             while (!data.is_ok() &&
                    data.status().code() == StatusCode::kUnavailable &&
                    job.fetch_attempts < config_.transient_retries) {
                 ++job.fetch_attempts;
-                data = containers_.read(job.location);
+                data = read_image();
             }
             job.fetch_ns = fetch_timer.elapsed_ns();
             if (!data.is_ok()) {
                 job.status = data.status();
                 return;
             }
-            job.fetch_ok = true;
-            // Keep the compressed image: the two-tier cache fill wants
-            // it alongside the decompressed payload.
             job.compressed = data.take();
-            job.compressed_bytes = job.compressed.size();
-            const obs::StageTimer decompress_timer;
-            Result<Buffer> raw =
-                decomp_.decompress_stateless(job.compressed);
-            job.decompress_ns = decompress_timer.elapsed_ns();
-            if (!raw.is_ok()) {
-                job.status = raw.status();
-                return;
-            }
+        }
+        job.fetch_ok = true;
+        const obs::StageTimer decompress_timer;
+        Result<Buffer> raw = decomp_.decompress_stateless(job.compressed);
+        job.decompress_ns = decompress_timer.elapsed_ns();
+        if (!raw.is_ok())
+            job.status = raw.status();
+        else if (raw.value().size() != kChunkSize)
+            job.status = Status::corruption("decompressed size mismatch");
+        else
             job.payload = raw.take();
+    };
+    read_pipeline_->run(
+        jobs, pending,
+        [&load](ReadJob &job) {
+            load(job);
+            if (job.status.is_ok() || job.tier != cache::CacheTier::kSpill)
+                return;
+            // The spill tier is best-effort: any failure (transient
+            // budget exhausted, torn/lapped bytes failing decode or the
+            // size check) falls back to the authoritative container
+            // fetch, which is then billed and filled as a plain miss.
+            job.tier = cache::CacheTier::kNone;
+            job.status = Status::ok();
+            job.fetch_ok = false;
+            job.fetch_attempts = 0;
+            job.compressed.clear();
+            load(job);
         },
         obs::ScopedRequest::current_trace(),
         obs::ScopedRequest::current_stream());
@@ -1486,7 +1466,7 @@ FidrSystem::run_read_jobs(std::vector<ReadJob> &jobs)
     // happens here, on the orchestrating thread, so ledgers are
     // bit-identical across lane counts.
     for (ReadJob &job : jobs) {
-        if (job.cache_hit) {
+        if (job.tier == cache::CacheTier::kHot) {
             job.ready = true;
             continue;
         }
@@ -1495,52 +1475,9 @@ FidrSystem::run_read_jobs(std::vector<ReadJob> &jobs)
              ++attempt) {
             fault_stats_.backoff_ns += backoff_for(attempt);
         }
-        const cache::ChunkKey key{job.location.container_id,
-                                  job.location.offset_units};
-        if (job.tier == cache::CacheTier::kWarm) {
-            // Warm hit: the image moves host DRAM -> Decompression
-            // Engine (no data-SSD DMA, no read.ssd_fetches).
-            const Status moved = dma_checked(
-                pcie::kHostMemory, platform_.decompression_engine(),
-                job.compressed_bytes, memtag::kChunkCache);
-            if (!moved.is_ok()) {
-                job.status = moved;
-                job.payload.clear();
-                continue;
-            }
-            hist_.read_decompress->record(
-                job.decompress_ns, obs::ScopedRequest::current_trace());
-            if (!job.status.is_ok())
-                continue;  // Decompression failed (kCorruption).
-            decomp_.record();
-            job.ready = true;
-            chunk_cache_->promote(key, job.payload, job.compressed);
-            continue;
-        }
-        if (job.tier == cache::CacheTier::kSpill && !job.spill_fallback) {
-            // Spill hit: a ring read off the spill SSD (billed as
-            // chunk-cache traffic, not a chunk fetch) feeds the
-            // engine, and the image promotes back into DRAM.
-            read_spill_reads_->add();
-            hist_.read_fetch->record(job.fetch_ns,
-                                     obs::ScopedRequest::current_trace());
-            const Status moved = dma_checked(
-                platform_.data_ssd_dev(spill_device_->ssd_index()),
-                platform_.decompression_engine(), job.compressed_bytes,
-                memtag::kChunkCache);
-            if (!moved.is_ok()) {
-                job.status = moved;
-                job.payload.clear();
-                continue;
-            }
-            hist_.read_decompress->record(
-                job.decompress_ns, obs::ScopedRequest::current_trace());
-            decomp_.record();
-            job.ready = true;
-            chunk_cache_->promote(key, job.payload, job.compressed);
-            continue;
-        }
         if (!job.fetch_ok) {
+            // Only a container fetch gets here (a warm image is in
+            // hand, a failed spill read fell back).
             if (job.status.code() == StatusCode::kUnavailable)
                 ++fault_stats_.retry_exhausted;
             // The failed flash read still occupied the owning SSD's
@@ -1553,21 +1490,35 @@ FidrSystem::run_read_jobs(std::vector<ReadJob> &jobs)
                            memtag::kDataSsd);
             }
             hist_.read_fetch->record(job.fetch_ns,
-                                 obs::ScopedRequest::current_trace());
+                                     obs::ScopedRequest::current_trace());
             continue;
         }
-        // Fig 6b step 5: data SSD -> Decompression Engine, P2P.  The
-        // source device is the SSD the chunk's container landed on
-        // (same rotation bill_container_seals used when sealing it).
-        FIDR_TPOINT(obs::Tpoint::kReadSsdFetch, job.location.container_id,
-                    job.compressed_bytes);
-        read_ssd_fetches_->add();
-        hist_.read_fetch->record(job.fetch_ns,
-                                 obs::ScopedRequest::current_trace());
+        // The tier picks the DMA source, ledger tag and counter.  A
+        // warm image moves host DRAM -> Decompression Engine; a spill
+        // hit is a ring read off the spill SSD, billed as chunk-cache
+        // traffic, not a chunk fetch; a miss is Fig 6b step 5, data
+        // SSD -> Decompression Engine P2P from the SSD the chunk's
+        // container landed on (the rotation bill_container_seals used
+        // when sealing it).
+        const bool miss = job.tier == cache::CacheTier::kNone;
+        pcie::DeviceId source = pcie::kHostMemory;
+        if (job.tier == cache::CacheTier::kSpill) {
+            source = platform_.data_ssd_dev(spill_device_->ssd_index());
+            read_spill_reads_->add();
+        } else if (miss) {
+            FIDR_TPOINT(obs::Tpoint::kReadSsdFetch,
+                        job.location.container_id, job.compressed.size());
+            source = platform_.data_ssd_dev(job.source_ssd);
+            read_ssd_fetches_->add();
+        }
+        if (job.tier != cache::CacheTier::kWarm) {
+            hist_.read_fetch->record(job.fetch_ns,
+                                     obs::ScopedRequest::current_trace());
+        }
         const Status moved = dma_checked(
-            platform_.data_ssd_dev(job.source_ssd),
-            platform_.decompression_engine(), job.compressed_bytes,
-            memtag::kDataSsd);
+            source, platform_.decompression_engine(),
+            job.compressed.size(),
+            miss ? memtag::kDataSsd : memtag::kChunkCache);
         if (!moved.is_ok()) {
             // The chunk never reached the engine: the speculative
             // decompression result is discarded unbilled.
@@ -1585,14 +1536,10 @@ FidrSystem::run_read_jobs(std::vector<ReadJob> &jobs)
             FIDR_TPOINT(obs::Tpoint::kReadCacheInsert,
                         job.location.container_id,
                         job.location.offset_units);
-            if (job.spill_fallback) {
-                // The ring copy failed to serve: the refetched image
-                // re-enters DRAM as a promotion (it already passed
-                // admission once) and displaces the stale spill entry.
-                chunk_cache_->promote(key, job.payload, job.compressed);
-            } else {
-                chunk_cache_->insert(key, job.payload, job.compressed);
-            }
+            chunk_cache_->fill(
+                cache::ChunkKey{job.location.container_id,
+                                job.location.offset_units},
+                job.payload, job.compressed);
         }
     }
 }
@@ -1694,27 +1641,22 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
         // location (spill read + decompress, no chunk fetch).
         if (chunk_cache_) {
             cache::TierLookup cached = chunk_cache_->lookup(key);
+            job.tier = cached.tier;
+            job.payload = std::move(cached.raw);
+            job.compressed = std::move(cached.compressed);
+            job.spill = cached.spill;
             switch (cached.tier) {
               case cache::CacheTier::kHot:
                 FIDR_TPOINT(obs::Tpoint::kReadCacheHit,
                             key.container_id, key.offset_units);
-                job.cache_hit = true;
-                job.tier = cache::CacheTier::kHot;
-                job.payload = std::move(cached.raw);
                 break;
               case cache::CacheTier::kWarm:
                 FIDR_TPOINT(obs::Tpoint::kReadCacheWarmHit,
                             key.container_id, key.offset_units);
-                job.tier = cache::CacheTier::kWarm;
-                job.compressed = std::move(cached.compressed);
-                job.raw_size = cached.raw_size;
                 break;
               case cache::CacheTier::kSpill:
                 FIDR_TPOINT(obs::Tpoint::kReadCacheSpillHit,
                             key.container_id, key.offset_units);
-                job.tier = cache::CacheTier::kSpill;
-                job.spill = cached.spill;
-                job.raw_size = cached.raw_size;
                 break;
               case cache::CacheTier::kNone:
                 break;
@@ -1745,7 +1687,7 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
         FIDR_TRACE_SPAN(span, obs::Tpoint::kReadNicReturn, lbas[i],
                         job.payload.size());
         const Status moved =
-            job.cache_hit
+            job.tier == cache::CacheTier::kHot
                 ? dma_checked(pcie::kHostMemory, platform_.nic(),
                               job.payload.size(), memtag::kChunkCache)
                 : dma_checked(platform_.decompression_engine(),
@@ -1842,9 +1784,9 @@ FidrSystem::obs_snapshot() const
     snap.gauges["read.cache.hit_rate"] = read_cache.hit_rate();
 
     // Per-tier breakdown (two-tier cache, PR 9): where the hits came
-    // from, the demotion/promotion flux between tiers, what admission
-    // turned away, and the ghost-LRU signals steering the hot/warm
-    // split.  Zeros in one-tier mode and with the cache off.
+    // from, the demotion/promotion flux between tiers, and the
+    // ghost-LRU signals steering the hot/warm split.  Zeros in
+    // one-tier mode and with the cache off.
     snap.counters["read.cache.hot.hits"] = read_cache.hot.hits;
     snap.counters["read.cache.warm.hits"] = read_cache.warm.hits;
     snap.counters["read.cache.spill.hits"] = read_cache.spill.hits;
@@ -1857,10 +1799,6 @@ FidrSystem::obs_snapshot() const
         read_cache.spill_write_failures;
     snap.counters["read.cache.spill.overwritten"] =
         read_cache.spill_overwritten;
-    snap.counters["read.cache.rejected.incompressible"] =
-        read_cache.rejected_incompressible;
-    snap.counters["read.cache.rejected.doorkeeper"] =
-        read_cache.rejected_doorkeeper;
     snap.counters["read.cache.ghost.hot_hits"] =
         read_cache.ghost_hot_hits;
     snap.counters["read.cache.ghost.warm_hits"] =
@@ -1889,7 +1827,7 @@ FidrSystem::obs_snapshot() const
         probes > 0 ? static_cast<double>(read_cache.ghost_warm_hits) /
                          static_cast<double>(probes)
                    : 0.0;
-    if (chunk_cache_ && chunk_cache_->tuning().two_tier) {
+    if (chunk_cache_ && config_.chunk_cache_two_tier) {
         // Per-tier section: hit share of each tier plus the ghost
         // gains, rendered by `fidr_obs_report snapshot`.
         const auto share = [&](std::uint64_t n) {

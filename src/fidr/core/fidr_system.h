@@ -112,15 +112,6 @@ struct FidrConfig {
     bool chunk_cache_two_tier = true;
 
     /**
-     * Chunk-cache admission filters (incompressible rejection + the
-     * frequency-sketch doorkeeper).  Off by default: with admission on
-     * the cache is no longer a pure always-admit optimization (a chunk
-     * only enters on its second miss), which benchmarks want but the
-     * cache-equivalence tests do not.
-     */
-    bool chunk_cache_admission = false;
-
-    /**
      * Spill-tier bytes reserved off the tail of the last data SSD for
      * evicted compressed chunks (sequential ring writes; see
      * chunk_cache.h).  0 disables the tier.  Only meaningful with
@@ -128,14 +119,6 @@ struct FidrConfig {
      * carved out of the container log's slot space at construction.
      */
     std::uint64_t chunk_cache_spill_bytes = 0;
-
-    /**
-     * Hot-tier demotion batch for the two-tier chunk cache: demote up
-     * to this many tail entries per rebalance pass once the hot byte
-     * target forces one (cache/chunk_cache.h).  1 = legacy
-     * demote-exactly-to-target, bit-for-bit.
-     */
-    std::size_t chunk_cache_demote_batch = 1;
 
     /**
      * This system's node index inside a cluster (cluster::ClusterRouter).
@@ -173,20 +156,10 @@ struct FidrConfig {
      * Degraded mode: PCIe/SSD operations that fail with kUnavailable
      * (transient device errors) are retried transparently up to this
      * many extra attempts before the error surfaces; each retry
-     * accounts exponential backoff to the fault counters.
+     * accounts exponential backoff (20 us << attempt) to the fault
+     * counters.
      */
     unsigned transient_retries = 2;
-    std::uint64_t retry_backoff_ns = 20'000;
-
-    /**
-     * Tail exemplars retained per stage histogram: each keeps the N
-     * slowest (latency, trace_id) pairs seen, so a p99 bucket points
-     * at concrete captured request traces (`fidr_obs_report
-     * attribute` resolves them).  0 disables the reservoirs.  With
-     * FIDR_TRACE=OFF no trace ids exist, so reservoirs stay empty and
-     * the record path is unchanged.
-     */
-    std::size_t tail_exemplars = 4;
 
     /**
      * Incremental container-log GC (core/gc.h): budgeted relocation
@@ -530,14 +503,6 @@ class FidrSystem : public StorageServer {
      * retry_exhausted.  Non-transient errors surface immediately.
      */
     Status retry_transient(const std::function<Status()> &op);
-
-    /**
-     * Backoff accounted for retry attempt `attempt` (0-based):
-     * retry_backoff_ns << attempt, with the shift capped and the
-     * product saturated so large transient_retries configurations
-     * cannot overflow the 64-bit accumulator.
-     */
-    std::uint64_t backoff_for(unsigned attempt) const;
 
     /** Serial resolve + coalesce + fan-out + serial billing of one
      *  read batch; see read_pipeline.h for the stage contract. */

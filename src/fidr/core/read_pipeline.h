@@ -14,11 +14,13 @@
  *      physical chunk — duplicates under dedup, or the same LBA twice
  *      in a batch — collapse into one ReadJob, in first-occurrence
  *      order, so each chunk is fetched and decompressed exactly once.
- *   3. *Fetch + decompress* (parallel): each miss job reads its
- *      compressed image from the container log and decompresses it.
- *      Pure per-job work: flash page copies, the LZ kernel, and
- *      job-local retry counting only.  Fanned across
- *      `FidrConfig::read_lanes` by this class.
+ *   3. *Fetch + decompress* (parallel): each job the hot cache tier
+ *      did not serve gets its compressed image (already in hand for a
+ *      warm hit, from the spill ring for a spill hit, from the
+ *      container log for a miss) and decompresses it.  Pure per-job
+ *      work: flash page copies, the LZ kernel, and job-local retry
+ *      counting only.  Fanned across `FidrConfig::read_lanes` by this
+ *      class.
  *   4. *Bill + return* (serial, job then input order): every fabric
  *      DMA, per-SSD attribution, histogram, fault-stat merge and
  *      cache fill runs on the orchestrating thread after the join, so
@@ -51,11 +53,11 @@ struct ReadJob {
     /** Batch slot indexes this job's payload serves (>= 1). */
     std::vector<std::size_t> slots;
 
-    bool cache_hit = false;       ///< Hot-tier hit: payload in hand.
-    /** Which cache tier answered the probe (kNone = miss).  kHot sets
-     *  cache_hit; kWarm carries `compressed`; kSpill carries `spill`.
-     *  Warm/spill jobs still run a lane body (decompress, or spill
-     *  read + decompress) but skip the container fetch. */
+    /** Which cache tier answered the probe (kNone = miss).  kHot
+     *  carries `payload` and skips the lane stage; kWarm carries
+     *  `compressed`; kSpill carries `spill`.  A spill read that fails
+     *  in the lane falls back to the container fetch and turns the
+     *  job into a miss (billed and filled as one). */
     cache::CacheTier tier = cache::CacheTier::kNone;
     bool fetch_ok = false;        ///< Compressed image in hand.
     Buffer payload;               ///< Decompressed chunk when ok.
@@ -64,11 +66,6 @@ struct ReadJob {
      *  Feeds the two-tier cache fill after the join. */
     Buffer compressed;
     cache::SpillRef spill;        ///< kSpill: where the image lives.
-    std::uint32_t raw_size = 0;   ///< Expected decompressed size.
-    /** Spill read/decode failed; the lane fell back to the normal
-     *  container fetch (billed as a plain miss serially). */
-    bool spill_fallback = false;
-    std::uint64_t compressed_bytes = 0;
     /** Transient-retry attempts consumed by the fetch (job-local;
      *  merged into FaultStats serially after the join). */
     unsigned fetch_attempts = 0;

@@ -2,7 +2,7 @@
  * @file
  * Host-side resource models: CPU cores and DRAM capacity.
  *
- * The CPU model bills core-time to named tasks through a WorkLedger and
+ * The CPU model bills core-time to named tasks through a Ledger and
  * answers the projection questions of Figs 5/12 ("how many cores to
  * sustain X GB/s", "what share of CPU is memory management").  The
  * memory model tracks capacity claims per component (the capacity
@@ -42,8 +42,8 @@ class HostCpu {
     }
 
     double cores() const { return cores_; }
-    const sim::WorkLedger &ledger() const { return ledger_; }
-    sim::WorkLedger &ledger() { return ledger_; }
+    const sim::Ledger &ledger() const { return ledger_; }
+    sim::Ledger &ledger() { return ledger_; }
 
     /**
      * Cores required to sustain `throughput` of client data given the
@@ -52,7 +52,7 @@ class HostCpu {
     double
     required_cores(double client_bytes, Bandwidth throughput) const
     {
-        return ledger_.required_cores(client_bytes, throughput);
+        return ledger_.required(client_bytes, throughput);
     }
 
     /** Client throughput at which this socket's cores saturate. */
@@ -68,7 +68,7 @@ class HostCpu {
 
   private:
     double cores_;
-    sim::WorkLedger ledger_;
+    sim::Ledger ledger_;
 };
 
 /** DRAM capacity bookkeeping per component. */

@@ -114,8 +114,8 @@ class Fabric {
                               std::uint64_t bytes);
 
     /** Host DRAM traffic ledger (tags chosen by callers). */
-    const sim::BandwidthLedger &host_memory() const { return host_memory_; }
-    sim::BandwidthLedger &host_memory() { return host_memory_; }
+    const sim::Ledger &host_memory() const { return host_memory_; }
+    sim::Ledger &host_memory() { return host_memory_; }
 
     /** Total bytes that crossed the root complex. */
     std::uint64_t root_complex_bytes() const { return root_complex_bytes_; }
@@ -144,7 +144,7 @@ class Fabric {
     FabricConfig config_;
     std::vector<std::string> switches_;
     std::vector<DeviceState> devices_;
-    sim::BandwidthLedger host_memory_;
+    sim::Ledger host_memory_;
     sim::BandwidthPipe root_pipe_;
     std::uint64_t root_complex_bytes_ = 0;
     std::uint64_t p2p_bytes_ = 0;

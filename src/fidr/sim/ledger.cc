@@ -5,15 +5,43 @@
 #include "fidr/common/status.h"
 
 namespace fidr::sim {
-namespace {
+
+void
+Ledger::add(const std::string &tag, double amount)
+{
+    FIDR_CHECK(amount >= 0);
+    by_tag_[tag] += amount;
+    total_ += amount;
+}
+
+double
+Ledger::value(const std::string &tag) const
+{
+    const auto it = by_tag_.find(tag);
+    return it == by_tag_.end() ? 0.0 : it->second;
+}
+
+double
+Ledger::share(const std::string &tag) const
+{
+    return total_ > 0 ? value(tag) / total_ : 0.0;
+}
+
+double
+Ledger::required(double client_bytes, Bandwidth client_throughput) const
+{
+    FIDR_CHECK(client_bytes > 0);
+    // Ledger units per client byte, times client bytes per second.
+    return total_ / client_bytes * client_throughput;
+}
 
 std::vector<LedgerRow>
-make_report(const std::map<std::string, double> &by_tag, double total)
+Ledger::report() const
 {
     std::vector<LedgerRow> rows;
-    rows.reserve(by_tag.size());
-    for (const auto &[tag, value] : by_tag)
-        rows.push_back({tag, value, total > 0 ? value / total : 0.0});
+    rows.reserve(by_tag_.size());
+    for (const auto &[tag, value] : by_tag_)
+        rows.push_back({tag, value, total_ > 0 ? value / total_ : 0.0});
     std::sort(rows.begin(), rows.end(),
               [](const LedgerRow &a, const LedgerRow &b) {
                   return a.value > b.value;
@@ -21,88 +49,8 @@ make_report(const std::map<std::string, double> &by_tag, double total)
     return rows;
 }
 
-}  // namespace
-
 void
-BandwidthLedger::add(const std::string &tag, double bytes)
-{
-    FIDR_CHECK(bytes >= 0);
-    by_tag_[tag] += bytes;
-    total_ += bytes;
-}
-
-double
-BandwidthLedger::bytes(const std::string &tag) const
-{
-    const auto it = by_tag_.find(tag);
-    return it == by_tag_.end() ? 0.0 : it->second;
-}
-
-double
-BandwidthLedger::share(const std::string &tag) const
-{
-    return total_ > 0 ? bytes(tag) / total_ : 0.0;
-}
-
-Bandwidth
-BandwidthLedger::required_bandwidth(double client_bytes,
-                                    Bandwidth client_throughput) const
-{
-    FIDR_CHECK(client_bytes > 0);
-    return total_ / client_bytes * client_throughput;
-}
-
-std::vector<LedgerRow>
-BandwidthLedger::report() const
-{
-    return make_report(by_tag_, total_);
-}
-
-void
-BandwidthLedger::reset()
-{
-    by_tag_.clear();
-    total_ = 0;
-}
-
-void
-WorkLedger::add(const std::string &tag, double core_seconds)
-{
-    FIDR_CHECK(core_seconds >= 0);
-    by_tag_[tag] += core_seconds;
-    total_ += core_seconds;
-}
-
-double
-WorkLedger::seconds(const std::string &tag) const
-{
-    const auto it = by_tag_.find(tag);
-    return it == by_tag_.end() ? 0.0 : it->second;
-}
-
-double
-WorkLedger::share(const std::string &tag) const
-{
-    return total_ > 0 ? seconds(tag) / total_ : 0.0;
-}
-
-double
-WorkLedger::required_cores(double client_bytes,
-                           Bandwidth client_throughput) const
-{
-    FIDR_CHECK(client_bytes > 0);
-    // core-seconds per client byte, times client bytes per second.
-    return total_ / client_bytes * client_throughput;
-}
-
-std::vector<LedgerRow>
-WorkLedger::report() const
-{
-    return make_report(by_tag_, total_);
-}
-
-void
-WorkLedger::reset()
+Ledger::reset()
 {
     by_tag_.clear();
     total_ = 0;

@@ -4,15 +4,14 @@
  * bandwidth/utilization figure in the reproduction.
  *
  * The paper's profiling (Table 1, Table 2, Figs 4/5/11/12) is byte- and
- * core-second accounting attributed to data paths and tasks.  A
- * BandwidthLedger records bytes moved per tag; a WorkLedger records
- * core-seconds per tag.  Both can then answer "bandwidth required at
- * throughput X" and "cores required at throughput X", which is exactly
- * the projection method the authors use (Sec 3.2, 7.5).
+ * core-second accounting attributed to data paths and tasks.  A Ledger
+ * records one quantity per tag — bytes moved through host DRAM, or
+ * core-seconds of CPU work — and can then answer "how much of this
+ * resource at client throughput X" (bandwidth, or cores), which is
+ * exactly the projection method the authors use (Sec 3.2, 7.5).
  */
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -28,57 +27,32 @@ struct LedgerRow {
     double share = 0;  ///< Fraction of ledger total, in [0, 1].
 };
 
-/** Accumulates bytes moved through a resource, attributed to tags. */
-class BandwidthLedger {
+/** Accumulates a non-negative quantity attributed to tags. */
+class Ledger {
   public:
-    /** Records `bytes` of traffic attributed to `tag`. */
-    void add(const std::string &tag, double bytes);
+    /** Records `amount` (bytes, core-seconds) attributed to `tag`. */
+    void add(const std::string &tag, double amount);
 
-    /** Total bytes across all tags. */
+    /** Total across all tags. */
     double total() const { return total_; }
 
-    /** Bytes recorded under `tag` (0 for unknown tags). */
-    double bytes(const std::string &tag) const;
+    /** Amount recorded under `tag` (0 for unknown tags). */
+    double value(const std::string &tag) const;
 
-    /** Fraction of total traffic attributed to `tag`. */
+    /** Fraction of the total attributed to `tag`. */
     double share(const std::string &tag) const;
 
     /**
-     * Bandwidth this resource must sustain for the system to process
-     * client data at `client_throughput`, given that the ledger
-     * accumulated while `client_bytes` of client data were processed:
-     * required = (total / client_bytes) * client_throughput.
+     * Rate of this resource the system needs to process client data at
+     * `client_throughput`, given that the ledger accumulated while
+     * `client_bytes` of client data were processed:
+     * required = (total / client_bytes) * client_throughput.  Bytes/s
+     * for a byte ledger, cores for a core-second ledger.
      */
-    Bandwidth required_bandwidth(double client_bytes,
-                                 Bandwidth client_throughput) const;
+    double required(double client_bytes,
+                    Bandwidth client_throughput) const;
 
     /** Rows sorted by descending value. */
-    std::vector<LedgerRow> report() const;
-
-    void reset();
-
-  private:
-    std::map<std::string, double> by_tag_;
-    double total_ = 0;
-};
-
-/** Accumulates CPU work (core-seconds) attributed to task tags. */
-class WorkLedger {
-  public:
-    /** Records `core_seconds` of CPU time attributed to `tag`. */
-    void add(const std::string &tag, double core_seconds);
-
-    double total() const { return total_; }
-    double seconds(const std::string &tag) const;
-    double share(const std::string &tag) const;
-
-    /**
-     * Cores needed to sustain `client_throughput` given the ledger was
-     * filled while processing `client_bytes` of client data.
-     */
-    double required_cores(double client_bytes,
-                          Bandwidth client_throughput) const;
-
     std::vector<LedgerRow> report() const;
 
     void reset();

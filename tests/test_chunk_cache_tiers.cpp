@@ -1,7 +1,7 @@
 // Two-tier chunk read cache (cache/chunk_cache): one-tier legacy
 // behaviour, the hot->warm demotion / warm->hot promotion state
-// machine, admission filters (incompressible + doorkeeper), the
-// asymmetric ghost-LRU auto-sizing, and the SSD spill ring — writes,
+// machine, batched demotion, the asymmetric ghost-LRU auto-sizing,
+// and the SSD spill ring — writes,
 // hits, wrap-around overwrites, write failures, and key maintenance
 // (rekey / invalidate / invalidate_container / clear) across every
 // tier.  All through the public API with a fake in-memory spill
@@ -76,20 +76,18 @@ class FakeSpill final : public SpillBackend {
 
 TEST(ChunkCacheOneTier, EvictionDropsOutrightAndBillsRawOnly)
 {
-    ChunkCacheTuning tuning;
-    tuning.two_tier = false;
-    ChunkReadCache cache(2 * kRaw, 1, tuning);
+    ChunkReadCache cache(2 * kRaw, 1, /*two_tier=*/false);
 
     // Compressed images are passed (the read plane always has them)
     // but must not be billed or retained in one-tier mode.
-    cache.insert(key(1, 0), bytes(kRaw, 1), bytes(kComp, 1));
-    cache.insert(key(1, 1), bytes(kRaw, 2), bytes(kComp, 2));
+    cache.fill(key(1, 0), bytes(kRaw, 1), bytes(kComp, 1));
+    cache.fill(key(1, 1), bytes(kRaw, 2), bytes(kComp, 2));
     EXPECT_EQ(cache.used_bytes(), 2 * kRaw);
     EXPECT_EQ(cache.entries(), 2u);
 
     // A third insert evicts the LRU entry entirely: no warm tier, no
     // demotion, exactly the PR 5 cache.
-    cache.insert(key(1, 2), bytes(kRaw, 3), bytes(kComp, 3));
+    cache.fill(key(1, 2), bytes(kRaw, 3), bytes(kComp, 3));
     EXPECT_FALSE(cache.lookup(key(1, 0)).hit());
     EXPECT_EQ(cache.lookup(key(1, 1)).tier, CacheTier::kHot);
     EXPECT_EQ(cache.lookup(key(1, 2)).tier, CacheTier::kHot);
@@ -107,8 +105,8 @@ TEST(ChunkCacheTiers, DemotionFreesRawAndKeepsCompressed)
     // target and the LRU one demotes.
     ChunkReadCache cache(kCap, 1);
     const Buffer raw_a = bytes(kRaw, 10), comp_a = bytes(kComp, 11);
-    cache.insert(key(1, 0), raw_a, comp_a);
-    cache.insert(key(1, 1), bytes(kRaw, 12), bytes(kComp, 13));
+    cache.fill(key(1, 0), raw_a, comp_a);
+    cache.fill(key(1, 1), bytes(kRaw, 12), bytes(kComp, 13));
 
     EXPECT_EQ(cache.hot_entries(), 1u);
     EXPECT_EQ(cache.warm_entries(), 1u);
@@ -116,12 +114,11 @@ TEST(ChunkCacheTiers, DemotionFreesRawAndKeepsCompressed)
     EXPECT_EQ(cache.stats().demotions, 1u);
     EXPECT_EQ(cache.stats().evictions, 0u);  // Still DRAM-resident.
 
-    // The demoted entry answers warm: the compressed image verbatim
-    // plus the decompressed size, no raw payload.
+    // The demoted entry answers warm: the compressed image verbatim,
+    // no raw payload.
     const TierLookup warm = cache.lookup(key(1, 0));
     EXPECT_EQ(warm.tier, CacheTier::kWarm);
     EXPECT_EQ(warm.compressed, comp_a);
-    EXPECT_EQ(warm.raw_size, kRaw);
     EXPECT_TRUE(warm.raw.empty());
 }
 
@@ -129,12 +126,12 @@ TEST(ChunkCacheTiers, PromoteRestoresHotAndDemotesTheOther)
 {
     ChunkReadCache cache(kCap, 1);
     const Buffer raw_a = bytes(kRaw, 20), comp_a = bytes(kComp, 21);
-    cache.insert(key(1, 0), raw_a, comp_a);
-    cache.insert(key(1, 1), bytes(kRaw, 22), bytes(kComp, 23));
+    cache.fill(key(1, 0), raw_a, comp_a);
+    cache.fill(key(1, 1), bytes(kRaw, 22), bytes(kComp, 23));
     ASSERT_EQ(cache.lookup(key(1, 0)).tier, CacheTier::kWarm);
 
     // The caller decompressed the warm image and hands it back.
-    cache.promote(key(1, 0), raw_a, comp_a);
+    cache.fill(key(1, 0), raw_a, comp_a);
     EXPECT_GE(cache.stats().promotions, 1u);
 
     const TierLookup hot = cache.lookup(key(1, 0));
@@ -146,50 +143,73 @@ TEST(ChunkCacheTiers, PromoteRestoresHotAndDemotesTheOther)
     EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
-TEST(ChunkCacheAdmission, RejectsIncompressibleImages)
+TEST(ChunkCacheTiers, RebalanceDemotesABatchPerPass)
 {
-    ChunkCacheTuning tuning;
-    tuning.admission = true;
-    ChunkReadCache cache(kCap, 1, tuning);
-
-    // 4000/4096 > 0.90: a warm slot would hold ~raw bytes.
-    cache.insert(key(1, 0), bytes(kRaw, 30), bytes(4000, 31));
-    EXPECT_EQ(cache.entries(), 0u);
-    EXPECT_EQ(cache.stats().rejected_incompressible, 1u);
-    EXPECT_EQ(cache.stats().rejected_doorkeeper, 0u);
+    // Small images let the hot target hold many entries: a hot entry
+    // bills 256 + 64 bytes, the initial target is half of 16 KiB, so
+    // 25 fit and the 26th fill overflows it.  That pass must demote a
+    // batch of 8 tail entries, not just the one the target needs.
+    ChunkReadCache cache(kCap, 1);
+    constexpr std::size_t kSmallRaw = 256, kSmallComp = 64;
+    for (std::uint16_t i = 0; i < 25; ++i)
+        cache.fill(key(1, i), bytes(kSmallRaw, static_cast<std::uint8_t>(i)),
+                   bytes(kSmallComp, static_cast<std::uint8_t>(i)));
+    ASSERT_EQ(cache.stats().demotions, 0u);
+    cache.fill(key(1, 25), bytes(kSmallRaw, 25), bytes(kSmallComp, 25));
+    EXPECT_EQ(cache.stats().demotions, 8u);
+    EXPECT_EQ(cache.stats().demote_passes, 1u);
+    EXPECT_EQ(cache.hot_entries(), 18u);
+    EXPECT_EQ(cache.warm_entries(), 8u);
+    // The eight LRU-most entries went warm, oldest first.
+    for (std::uint16_t i = 0; i < 8; ++i)
+        EXPECT_EQ(cache.peek(key(1, i)), CacheTier::kWarm) << "key " << i;
+    EXPECT_EQ(cache.peek(key(1, 8)), CacheTier::kHot);
 }
 
-TEST(ChunkCacheAdmission, DoorkeeperAdmitsOnSecondMiss)
+TEST(ChunkCacheTiers, BatchedDemotionNeverDemotesTheMru)
 {
-    ChunkCacheTuning tuning;
-    tuning.admission = true;  // admit_frequency = 2.
-    ChunkReadCache cache(kCap, 1, tuning);
-    const ChunkKey k = key(1, 0);
-
-    // First miss feeds the sketch; the fill is turned away.
-    EXPECT_FALSE(cache.lookup(k).hit());
-    cache.insert(k, bytes(kRaw, 40), bytes(kComp, 41));
-    EXPECT_EQ(cache.entries(), 0u);
-    EXPECT_EQ(cache.stats().rejected_doorkeeper, 1u);
-
-    // Second miss crosses admit_frequency: the fill sticks.
-    EXPECT_FALSE(cache.lookup(k).hit());
-    cache.insert(k, bytes(kRaw, 40), bytes(kComp, 41));
-    EXPECT_EQ(cache.entries(), 1u);
-    EXPECT_EQ(cache.lookup(k).tier, CacheTier::kHot);
+    // Three small hot entries, then one large fill that overflows the
+    // 8 KiB target on its own: the pass demotes all three small
+    // entries (fewer than a full batch) and stops at the MRU entry,
+    // the fill that triggered it, even though that one alone still
+    // fills most of the target.
+    ChunkReadCache cache(kCap, 1);
+    for (std::uint16_t i = 0; i < 3; ++i)
+        cache.fill(key(1, i), bytes(256, static_cast<std::uint8_t>(i)),
+                   bytes(64, static_cast<std::uint8_t>(i)));
+    cache.fill(key(1, 3), bytes(8000, 3), bytes(100, 3));
+    EXPECT_EQ(cache.stats().demotions, 3u);
+    EXPECT_EQ(cache.stats().demote_passes, 1u);
+    EXPECT_EQ(cache.hot_entries(), 1u);
+    EXPECT_EQ(cache.peek(key(1, 3)), CacheTier::kHot);
 }
 
-TEST(ChunkCacheAdmission, PromoteBypassesTheDoorkeeper)
+TEST(ChunkCacheTiers, FillPromotesASpilledEntryOnlyOnce)
 {
-    // promote() completes a hit on an entry that already passed
-    // admission once (possibly before it aged out to spill); it must
-    // not be turned away again.
-    ChunkCacheTuning tuning;
-    tuning.admission = true;
-    ChunkReadCache cache(kCap, 1, tuning);
-    cache.promote(key(1, 0), bytes(kRaw, 50), bytes(kComp, 51));
-    EXPECT_EQ(cache.entries(), 1u);
-    EXPECT_EQ(cache.stats().rejected_doorkeeper, 0u);
+    // A fill for a key the ring still holds is a promotion and takes
+    // the ring entry with it; the same key re-filled while hot is only
+    // a recency refresh.
+    FakeSpill spill(64 * 1024);
+    ChunkReadCache cache(kCap, 1, /*two_tier=*/true, &spill);
+    for (std::uint16_t i = 0; i < 18; ++i)
+        cache.fill(key(1, i), bytes(kRaw, static_cast<std::uint8_t>(i)),
+                   bytes(kComp, static_cast<std::uint8_t>(i)));
+    ASSERT_EQ(cache.peek(key(1, 0)), CacheTier::kSpill);
+    const ChunkCacheStats before = cache.stats();
+    const std::size_t ring_before = cache.spill_entries();
+    cache.fill(key(1, 0), bytes(kRaw, 0), bytes(kComp, 0));
+    const ChunkCacheStats promoted = cache.stats();
+    EXPECT_EQ(promoted.promotions, before.promotions + 1);
+    EXPECT_EQ(promoted.insertions, before.insertions);
+    EXPECT_EQ(cache.peek(key(1, 0)), CacheTier::kHot);
+    // Net of what the refill's cascade spilled or lapped, the ring lost
+    // exactly the promoted entry.
+    EXPECT_EQ(cache.spill_entries() + 1,
+              ring_before + (promoted.spill_writes - before.spill_writes) -
+                  (promoted.spill_overwritten - before.spill_overwritten));
+    cache.fill(key(1, 0), bytes(kRaw, 0), bytes(kComp, 0));
+    EXPECT_EQ(cache.stats().promotions, promoted.promotions);
+    EXPECT_EQ(cache.stats().insertions, promoted.insertions);
 }
 
 TEST(ChunkCacheGhosts, AdaptationIsAsymmetric)
@@ -200,8 +220,8 @@ TEST(ChunkCacheGhosts, AdaptationIsAsymmetric)
     // Demote A (hot tail -> warm + hot ghost), then re-reference it
     // warm: a bigger hot tier would have skipped the decompress, so
     // the target grows — by the quarter step.
-    cache.insert(key(1, 0), bytes(kRaw, 60), bytes(kComp, 61));
-    cache.insert(key(1, 1), bytes(kRaw, 62), bytes(kComp, 63));
+    cache.fill(key(1, 0), bytes(kRaw, 60), bytes(kComp, 61));
+    cache.fill(key(1, 1), bytes(kRaw, 62), bytes(kComp, 63));
     ASSERT_EQ(cache.lookup(key(1, 0)).tier, CacheTier::kWarm);
     const std::uint64_t grown = cache.hot_target_bytes();
     const std::uint64_t grow_delta = grown - initial;
@@ -213,7 +233,7 @@ TEST(ChunkCacheGhosts, AdaptationIsAsymmetric)
     // warm tier would have kept it, so the target shrinks — by the
     // full step, 4x the grow step.
     for (std::uint16_t i = 2; i < 18; ++i)
-        cache.insert(key(1, i), bytes(kRaw, i), bytes(kComp, i));
+        cache.fill(key(1, i), bytes(kRaw, i), bytes(kComp, i));
     ASSERT_GT(cache.stats().evictions, 0u);
     const std::uint64_t before_shrink = cache.hot_target_bytes();
     ASSERT_EQ(before_shrink, grown);  // Inserts don't move the target.
@@ -234,7 +254,7 @@ struct SpillRig {
     std::unordered_map<std::uint16_t, Buffer> comps;
 
     explicit SpillRig(std::uint64_t spill_capacity = 64 * 1024)
-        : spill(spill_capacity), cache(kCap, 1, {}, &spill)
+        : spill(spill_capacity), cache(kCap, 1, true, &spill)
     {
     }
 
@@ -244,7 +264,7 @@ struct SpillRig {
         for (std::uint16_t i = from; i < to; ++i) {
             raws[i] = bytes(kRaw, static_cast<std::uint8_t>(i));
             comps[i] = bytes(kComp, static_cast<std::uint8_t>(i + 100));
-            cache.insert(key(1, i), raws[i], comps[i]);
+            cache.fill(key(1, i), raws[i], comps[i]);
         }
     }
 };
@@ -265,7 +285,6 @@ TEST(ChunkCacheSpill, WarmEvictionsSpillAndReadBack)
     const TierLookup spilled = rig.cache.lookup(key(1, 0));
     ASSERT_EQ(spilled.tier, CacheTier::kSpill);
     EXPECT_EQ(spilled.spill.size, kComp);
-    EXPECT_EQ(spilled.raw_size, kRaw);
     Result<Buffer> image =
         rig.spill.read(spilled.spill.offset, spilled.spill.size);
     ASSERT_TRUE(image.is_ok());
@@ -273,7 +292,7 @@ TEST(ChunkCacheSpill, WarmEvictionsSpillAndReadBack)
 
     // Promote completes the spill hit: back to hot, out of the ring.
     const std::uint64_t promotions = rig.cache.stats().promotions;
-    rig.cache.promote(key(1, 0), rig.raws.at(0), rig.comps.at(0));
+    rig.cache.fill(key(1, 0), rig.raws.at(0), rig.comps.at(0));
     EXPECT_EQ(rig.cache.stats().promotions, promotions + 1);
     EXPECT_EQ(rig.cache.lookup(key(1, 0)).tier, CacheTier::kHot);
 }
@@ -376,7 +395,7 @@ TEST(ChunkCacheMaintenance, InvalidateContainerSweepsSpill)
     // of each.
     for (std::uint16_t i = 0; i < 18; ++i) {
         const std::uint64_t container = (i % 2 == 0) ? 1 : 2;
-        rig.cache.insert(key(container, i),
+        rig.cache.fill(key(container, i),
                          bytes(kRaw, static_cast<std::uint8_t>(i)),
                          bytes(kComp, static_cast<std::uint8_t>(i)));
     }
@@ -411,7 +430,7 @@ TEST(ChunkCacheMaintenance, ClearDropsDramAndSpillIndex)
 TEST(ChunkCacheTiers, OversizePayloadIsNotCached)
 {
     ChunkReadCache cache(kCap, 1);
-    cache.insert(key(1, 0), bytes(kCap + 1, 70), bytes(kComp, 71));
+    cache.fill(key(1, 0), bytes(kCap + 1, 70), bytes(kComp, 71));
     EXPECT_EQ(cache.entries(), 0u);
     EXPECT_EQ(cache.used_bytes(), 0u);
 }
@@ -420,7 +439,7 @@ TEST(ChunkCacheTiers, StatsAggregateOverShards)
 {
     ChunkReadCache cache(4 * kCap, 4);
     for (std::uint16_t i = 0; i < 32; ++i)
-        cache.insert(key(i, i), bytes(kRaw, static_cast<std::uint8_t>(i)),
+        cache.fill(key(i, i), bytes(kRaw, static_cast<std::uint8_t>(i)),
                      bytes(kComp, static_cast<std::uint8_t>(i)));
     for (std::uint16_t i = 0; i < 32; ++i)
         (void)cache.lookup(key(i, i));

@@ -217,11 +217,11 @@ TEST(BaselineSystem, LedgersCoverAllTable1Paths)
     ASSERT_TRUE(system.flush().is_ok());
 
     const auto &mem = system.platform().fabric().host_memory();
-    EXPECT_GT(mem.bytes(memtag::kNicHost), 0.0);
-    EXPECT_GT(mem.bytes(memtag::kPrediction), 0.0);
-    EXPECT_GT(mem.bytes(memtag::kFpga), 0.0);
-    EXPECT_GT(mem.bytes(memtag::kTableCache), 0.0);
-    EXPECT_GT(mem.bytes(memtag::kDataSsd), 0.0);
+    EXPECT_GT(mem.value(memtag::kNicHost), 0.0);
+    EXPECT_GT(mem.value(memtag::kPrediction), 0.0);
+    EXPECT_GT(mem.value(memtag::kFpga), 0.0);
+    EXPECT_GT(mem.value(memtag::kTableCache), 0.0);
+    EXPECT_GT(mem.value(memtag::kDataSsd), 0.0);
 
     // The baseline moves every client byte through DRAM several times.
     const double client_bytes =
@@ -230,10 +230,10 @@ TEST(BaselineSystem, LedgersCoverAllTable1Paths)
 
     // CPU: predictor and tree indexing are the signature hotspots.
     const auto &cpu = system.platform().cpu().ledger();
-    EXPECT_GT(cpu.seconds(cputag::kPredictor), 0.0);
-    EXPECT_GT(cpu.seconds(cputag::kTreeIndex), 0.0);
-    EXPECT_GT(cpu.seconds(cputag::kTableSsd), 0.0);
-    EXPECT_GT(cpu.seconds(cputag::kReadPath), 0.0);
+    EXPECT_GT(cpu.value(cputag::kPredictor), 0.0);
+    EXPECT_GT(cpu.value(cputag::kTreeIndex), 0.0);
+    EXPECT_GT(cpu.value(cputag::kTableSsd), 0.0);
+    EXPECT_GT(cpu.value(cputag::kReadPath), 0.0);
 }
 
 TEST(FidrSystem, HostDramMostlyBypassed)
@@ -255,17 +255,17 @@ TEST(FidrSystem, HostDramMostlyBypassed)
     // Payloads moved peer-to-peer; DRAM sees mostly table-cache traffic.
     EXPECT_GT(fabric.p2p_bytes(), 0u);
     EXPECT_LT(fabric.host_memory().total(), 2.0 * client_bytes);
-    EXPECT_GT(fabric.host_memory().bytes(memtag::kTableCache), 0.0);
+    EXPECT_GT(fabric.host_memory().value(memtag::kTableCache), 0.0);
     // The payload tags must be tiny (digests + verdicts only).
-    EXPECT_LT(fabric.host_memory().bytes(memtag::kNicHost),
+    EXPECT_LT(fabric.host_memory().value(memtag::kNicHost),
               0.05 * client_bytes);
 
     // No predictor, no CPU-side tree work in the full configuration.
     const auto &cpu = system.platform().cpu().ledger();
-    EXPECT_DOUBLE_EQ(cpu.seconds(cputag::kPredictor), 0.0);
-    EXPECT_DOUBLE_EQ(cpu.seconds(cputag::kTreeIndex), 0.0);
-    EXPECT_DOUBLE_EQ(cpu.seconds(cputag::kTableSsd), 0.0);
-    EXPECT_GT(cpu.seconds(cputag::kScan), 0.0);
+    EXPECT_DOUBLE_EQ(cpu.value(cputag::kPredictor), 0.0);
+    EXPECT_DOUBLE_EQ(cpu.value(cputag::kTreeIndex), 0.0);
+    EXPECT_DOUBLE_EQ(cpu.value(cputag::kTableSsd), 0.0);
+    EXPECT_GT(cpu.value(cputag::kScan), 0.0);
 
     // The HW engine did the indexing instead.
     ASSERT_NE(system.hw_index(), nullptr);
@@ -279,7 +279,7 @@ TEST(FidrSystem, SoftwareCacheConfigBillsTreeToCpu)
         ASSERT_TRUE(system.write(lba, chunk_of(lba)).is_ok());
     ASSERT_TRUE(system.flush().is_ok());
     const auto &cpu = system.platform().cpu().ledger();
-    EXPECT_GT(cpu.seconds(cputag::kTreeIndex), 0.0);
+    EXPECT_GT(cpu.value(cputag::kTreeIndex), 0.0);
     EXPECT_EQ(system.hw_index(), nullptr);
 }
 

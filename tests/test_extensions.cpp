@@ -281,7 +281,7 @@ TEST(ReadOffload, ReducesReadPathCpu)
         EXPECT_TRUE(system.flush().is_ok());
         for (Lba lba = 0; lba < 100; ++lba)
             EXPECT_TRUE(system.read(lba).is_ok());
-        return system.platform().cpu().ledger().seconds(
+        return system.platform().cpu().ledger().value(
             cputag::kReadPath);
     };
     const double normal = read_cpu(false);

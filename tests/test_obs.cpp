@@ -17,7 +17,6 @@
 #include "fidr/obs/json.h"
 #include "fidr/obs/metrics.h"
 #include "fidr/obs/trace.h"
-#include "fidr/sim/stats.h"
 
 using namespace fidr;
 
@@ -437,24 +436,6 @@ TEST(MetricRegistry, ConcurrentIncrementsAreExact)
               static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(MetricRegistry, StatRegistryAdapterIsConcurrencySafe)
-{
-    sim::StatRegistry stats;
-    constexpr int kThreads = 4;
-    constexpr int kPerThread = 50'000;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&stats] {
-            for (int i = 0; i < kPerThread; ++i)
-                stats.inc("shared");
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-    EXPECT_EQ(stats.get("shared"),
-              static_cast<std::uint64_t>(kThreads) * kPerThread);
-}
-
 TEST(MetricRegistry, FindDoesNotCreate)
 {
     obs::MetricRegistry registry;
@@ -479,6 +460,80 @@ TEST(MetricRegistry, HistogramLogBucketsBoundRelativeError)
         EXPECT_GT(p, exact * 0.97);
         EXPECT_LT(p, exact * 1.03);
     }
+}
+
+// Latency-statistics edge cases of obs::Histogram (the Sec 7.6 latency
+// bench records into one).
+
+TEST(LatencyStats, BasicMoments)
+{
+    obs::Histogram stats;
+    stats.record(100);
+    stats.record(200);
+    stats.record(300);
+    EXPECT_EQ(stats.count(), 3u);
+    EXPECT_DOUBLE_EQ(stats.mean_ns(), 200);
+    EXPECT_EQ(stats.min_ns(), 100u);
+    EXPECT_EQ(stats.max_ns(), 300u);
+}
+
+TEST(LatencyStats, ResetClears)
+{
+    obs::Histogram stats;
+    stats.record(5);
+    stats.reset();
+    EXPECT_EQ(stats.count(), 0u);
+    EXPECT_EQ(stats.percentile_ns(0.5), 0u);
+}
+
+TEST(LatencyStats, EmptyStatsReportZeroEverywhere)
+{
+    const obs::Histogram stats;
+    EXPECT_EQ(stats.count(), 0u);
+    EXPECT_DOUBLE_EQ(stats.mean_ns(), 0.0);
+    EXPECT_EQ(stats.min_ns(), 0u);
+    EXPECT_EQ(stats.max_ns(), 0u);
+    for (const double q : {0.0, 0.5, 0.99, 1.0})
+        EXPECT_EQ(stats.percentile_ns(q), 0u) << "q=" << q;
+}
+
+TEST(LatencyStats, SingleSampleIsExactAtEveryQuantile)
+{
+    // A lone sample must be reported exactly — the log-bucket upper
+    // edge may not leak out of the observed [min, max] range.
+    obs::Histogram stats;
+    stats.record(700'000);  // The Sec 7.6 700 us read.
+    for (const double q : {0.0, 0.25, 0.5, 0.95, 0.99, 1.0})
+        EXPECT_EQ(stats.percentile_ns(q), 700'000u) << "q=" << q;
+}
+
+TEST(LatencyStats, QuantileZeroIsMinAndOneIsMax)
+{
+    obs::Histogram stats;
+    stats.record(100);
+    stats.record(1'000'000);
+    stats.record(3'000);
+    EXPECT_EQ(stats.percentile_ns(0.0), 100u);
+    EXPECT_EQ(stats.percentile_ns(1.0), 1'000'000u);
+    // Interior quantiles stay inside the observed range.
+    for (const double q : {0.01, 0.5, 0.999}) {
+        const SimTime p = stats.percentile_ns(q);
+        EXPECT_GE(p, 100u) << "q=" << q;
+        EXPECT_LE(p, 1'000'000u) << "q=" << q;
+    }
+}
+
+TEST(LatencyStats, SummaryMatchesDirectQueries)
+{
+    obs::Histogram stats;
+    for (SimTime v = 1; v <= 100; ++v)
+        stats.record(v * 1000);
+    const obs::HistogramSummary s = stats.summary();
+    EXPECT_EQ(s.count, stats.count());
+    EXPECT_DOUBLE_EQ(s.mean_ns, stats.mean_ns());
+    EXPECT_EQ(s.p50_ns, stats.percentile_ns(0.5));
+    EXPECT_EQ(s.p95_ns, stats.percentile_ns(0.95));
+    EXPECT_EQ(s.p99_ns, stats.percentile_ns(0.99));
 }
 
 TEST(MetricRegistry, ExemplarReservoirKeepsSlowestTaggedSamples)

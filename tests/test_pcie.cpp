@@ -48,7 +48,7 @@ TEST(Fabric, CrossSwitchStagesThroughHost)
     EXPECT_EQ(rig.fabric.dma(rig.nic, rig.other, 1000, "stage"),
               DmaPath::kThroughHost);
     // Staged: one DMA write into DRAM plus one DMA read out.
-    EXPECT_DOUBLE_EQ(rig.fabric.host_memory().bytes("stage"), 2000);
+    EXPECT_DOUBLE_EQ(rig.fabric.host_memory().value("stage"), 2000);
     EXPECT_EQ(rig.fabric.root_complex_bytes(), 2000u);
 }
 
@@ -68,8 +68,8 @@ TEST(Fabric, HostEndpointCountsOnce)
               DmaPath::kHostEndpoint);
     EXPECT_EQ(rig.fabric.dma(kHostMemory, rig.ssd, 300, "out"),
               DmaPath::kHostEndpoint);
-    EXPECT_DOUBLE_EQ(rig.fabric.host_memory().bytes("in"), 500);
-    EXPECT_DOUBLE_EQ(rig.fabric.host_memory().bytes("out"), 300);
+    EXPECT_DOUBLE_EQ(rig.fabric.host_memory().value("in"), 500);
+    EXPECT_DOUBLE_EQ(rig.fabric.host_memory().value("out"), 300);
     EXPECT_EQ(rig.fabric.root_complex_bytes(), 800u);
 }
 
@@ -78,7 +78,7 @@ TEST(Fabric, LedgerTagsAccumulate)
     Rig rig;
     rig.fabric.dma(rig.nic, kHostMemory, 100, "t");
     rig.fabric.dma(rig.comp, kHostMemory, 50, "t");
-    EXPECT_DOUBLE_EQ(rig.fabric.host_memory().bytes("t"), 150);
+    EXPECT_DOUBLE_EQ(rig.fabric.host_memory().value("t"), 150);
     EXPECT_DOUBLE_EQ(rig.fabric.host_memory().share("t"), 1.0);
 }
 

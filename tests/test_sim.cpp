@@ -1,5 +1,6 @@
 // Unit tests for the simulation core: event queue, bandwidth pipes,
-// ledgers, latency stats.
+// and the tagged ledger in its two uses — bytes moved (the
+// BandwidthLedger cases) and core-seconds of work (WorkLedger).
 
 #include <gtest/gtest.h>
 
@@ -7,7 +8,6 @@
 
 #include "fidr/sim/event_queue.h"
 #include "fidr/sim/ledger.h"
-#include "fidr/sim/stats.h"
 
 namespace fidr::sim {
 namespace {
@@ -72,12 +72,12 @@ TEST(BandwidthPipe, SerializesTransfers)
 
 TEST(BandwidthLedger, TracksSharesAndTotals)
 {
-    BandwidthLedger ledger;
+    Ledger ledger;
     ledger.add("a", 300);
     ledger.add("b", 100);
     ledger.add("a", 100);
     EXPECT_DOUBLE_EQ(ledger.total(), 500);
-    EXPECT_DOUBLE_EQ(ledger.bytes("a"), 400);
+    EXPECT_DOUBLE_EQ(ledger.value("a"), 400);
     EXPECT_DOUBLE_EQ(ledger.share("a"), 0.8);
     EXPECT_DOUBLE_EQ(ledger.share("missing"), 0.0);
 }
@@ -86,15 +86,15 @@ TEST(BandwidthLedger, RequiredBandwidthProjection)
 {
     // 2 bytes of DRAM traffic per client byte at 75 GB/s needs
     // 150 GB/s of DRAM bandwidth — the Fig 4 projection method.
-    BandwidthLedger ledger;
+    Ledger ledger;
     ledger.add("traffic", 2000);
-    EXPECT_DOUBLE_EQ(ledger.required_bandwidth(1000, gb_per_s(75)),
+    EXPECT_DOUBLE_EQ(ledger.required(1000, gb_per_s(75)),
                      gb_per_s(150));
 }
 
 TEST(BandwidthLedger, ReportSortedByValue)
 {
-    BandwidthLedger ledger;
+    Ledger ledger;
     ledger.add("small", 1);
     ledger.add("large", 10);
     const auto rows = ledger.report();
@@ -105,121 +105,19 @@ TEST(BandwidthLedger, ReportSortedByValue)
 
 TEST(WorkLedger, RequiredCores)
 {
-    WorkLedger ledger;
+    Ledger ledger;
     // 1 core-second per GB of client data.
     ledger.add("task", 1.0);
-    EXPECT_NEAR(ledger.required_cores(1e9, gb_per_s(75)), 75.0, 1e-9);
+    EXPECT_NEAR(ledger.required(1e9, gb_per_s(75)), 75.0, 1e-9);
 }
 
 TEST(WorkLedger, ResetClears)
 {
-    WorkLedger ledger;
+    Ledger ledger;
     ledger.add("x", 5);
     ledger.reset();
     EXPECT_DOUBLE_EQ(ledger.total(), 0);
     EXPECT_TRUE(ledger.report().empty());
-}
-
-TEST(StatRegistry, IncrementAndList)
-{
-    StatRegistry stats;
-    stats.inc("reads");
-    stats.inc("reads", 4);
-    stats.inc("writes", 2);
-    EXPECT_EQ(stats.get("reads"), 5u);
-    EXPECT_EQ(stats.get("absent"), 0u);
-    EXPECT_EQ(stats.all().size(), 2u);
-}
-
-TEST(LatencyStats, BasicMoments)
-{
-    LatencyStats stats;
-    stats.record(100);
-    stats.record(200);
-    stats.record(300);
-    EXPECT_EQ(stats.count(), 3u);
-    EXPECT_DOUBLE_EQ(stats.mean_ns(), 200);
-    EXPECT_EQ(stats.min_ns(), 100u);
-    EXPECT_EQ(stats.max_ns(), 300u);
-}
-
-TEST(LatencyStats, PercentilesApproximate)
-{
-    LatencyStats stats;
-    for (SimTime v = 1; v <= 1000; ++v)
-        stats.record(v * 1000);
-    // 2% log-bucket error allowed.
-    EXPECT_NEAR(static_cast<double>(stats.percentile_ns(0.5)), 500e3,
-                0.05 * 500e3);
-    EXPECT_NEAR(static_cast<double>(stats.percentile_ns(0.99)), 990e3,
-                0.05 * 990e3);
-}
-
-TEST(LatencyStats, ResetClears)
-{
-    LatencyStats stats;
-    stats.record(5);
-    stats.reset();
-    EXPECT_EQ(stats.count(), 0u);
-    EXPECT_EQ(stats.percentile_ns(0.5), 0u);
-}
-
-TEST(LatencyStats, EmptyStatsReportZeroEverywhere)
-{
-    const LatencyStats stats;
-    EXPECT_EQ(stats.count(), 0u);
-    EXPECT_DOUBLE_EQ(stats.mean_ns(), 0.0);
-    EXPECT_EQ(stats.min_ns(), 0u);
-    EXPECT_EQ(stats.max_ns(), 0u);
-    for (const double q : {0.0, 0.5, 0.99, 1.0})
-        EXPECT_EQ(stats.percentile_ns(q), 0u) << "q=" << q;
-}
-
-TEST(LatencyStats, SingleSampleIsExactAtEveryQuantile)
-{
-    // A lone sample must be reported exactly — the log-bucket upper
-    // edge may not leak out of the observed [min, max] range.
-    LatencyStats stats;
-    stats.record(700'000);  // The Sec 7.6 700 us read.
-    for (const double q : {0.0, 0.25, 0.5, 0.95, 0.99, 1.0})
-        EXPECT_EQ(stats.percentile_ns(q), 700'000u) << "q=" << q;
-}
-
-TEST(LatencyStats, QuantileZeroIsMinAndOneIsMax)
-{
-    LatencyStats stats;
-    stats.record(100);
-    stats.record(1'000'000);
-    stats.record(3'000);
-    EXPECT_EQ(stats.percentile_ns(0.0), 100u);
-    EXPECT_EQ(stats.percentile_ns(1.0), 1'000'000u);
-    // Interior quantiles stay inside the observed range.
-    for (const double q : {0.01, 0.5, 0.999}) {
-        const SimTime p = stats.percentile_ns(q);
-        EXPECT_GE(p, 100u) << "q=" << q;
-        EXPECT_LE(p, 1'000'000u) << "q=" << q;
-    }
-}
-
-TEST(LatencyStats, SummaryMatchesDirectQueries)
-{
-    LatencyStats stats;
-    for (SimTime v = 1; v <= 100; ++v)
-        stats.record(v * 1000);
-    const obs::HistogramSummary s = stats.summary();
-    EXPECT_EQ(s.count, stats.count());
-    EXPECT_DOUBLE_EQ(s.mean_ns, stats.mean_ns());
-    EXPECT_EQ(s.p50_ns, stats.percentile_ns(0.5));
-    EXPECT_EQ(s.p95_ns, stats.percentile_ns(0.95));
-    EXPECT_EQ(s.p99_ns, stats.percentile_ns(0.99));
-}
-
-TEST(StatRegistry, ResetZeroesWithoutForgettingNames)
-{
-    StatRegistry stats;
-    stats.inc("reads", 7);
-    stats.reset();
-    EXPECT_EQ(stats.get("reads"), 0u);
 }
 
 }  // namespace
