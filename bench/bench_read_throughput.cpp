@@ -1,4 +1,4 @@
-// Wall-clock throughput of the batched read plane: sweeps read_lanes
+// Wall-clock throughput of the batched read plane: sweeps lanes
 // x chunk-cache capacity x cache tier mode (one-tier decompressed LRU
 // vs two-tier hot/warm vs two-tier + SSD spill ring, all at the same
 // DRAM budget) over the Table 3 Read-Mixed workload and a Zipfian
@@ -151,9 +151,7 @@ run_cell(const ReadWorkload &workload, std::size_t lanes,
 {
     core::FidrConfig config;
     config.platform = bench::eval_platform();
-    config.nic.hash_lanes = 1;
-    config.compress_lanes = 1;
-    config.read_lanes = lanes;
+    config.lanes = lanes;
     config.chunk_cache_bytes = cache_bytes;
     config.chunk_cache_shards = cache_bytes > 0 ? 4 : 1;
     config.chunk_cache_two_tier = mode.two_tier;

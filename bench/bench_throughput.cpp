@@ -58,8 +58,7 @@ run_write_path(const workload::WorkloadSpec &spec, std::size_t lanes,
 {
     core::FidrConfig config;
     config.platform = bench::eval_platform();
-    config.nic.hash_lanes = lanes;
-    config.compress_lanes = lanes;
+    config.lanes = lanes;
     core::FidrSystem system(config);
     (void)spec;
 
@@ -100,8 +99,8 @@ run_nic_hash(std::size_t lanes,
     nic::FidrNicConfig config;
     config.buffer_capacity =
         static_cast<std::uint64_t>(requests.size() + 1) * kChunkSize;
-    config.hash_lanes = lanes;
     nic::FidrNic nic(config);
+    ThreadPool pool(lanes);
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const Status buffered =
             nic.buffer_write(requests[i].lba, requests[i].data);
@@ -109,7 +108,7 @@ run_nic_hash(std::size_t lanes,
     }
 
     const double t0 = now_s();
-    const std::vector<Digest> digests = nic.hash_buffered();
+    const std::vector<Digest> digests = nic.hash_buffered(&pool);
     const double elapsed = now_s() - t0;
     FIDR_CHECK(digests.size() == requests.size());
 

@@ -66,12 +66,11 @@ main()
     tracer.enable();
 
     core::FidrConfig config;
-    config.nic.hash_lanes = 2;  // Lane spans on worker trace rings.
-    config.compress_lanes = 2;
-    // Explicit so the read fan-out crosses threads even on a 1-core
-    // host (read_lanes = 0 would resolve to hardware_lanes() = 1
-    // there and keep fetches inline).
-    config.read_lanes = 2;
+    // Explicit so the hash, compress and read fan-outs cross threads
+    // (lane spans on worker trace rings) even on a 1-core host
+    // (lanes = 0 would resolve to hardware_lanes() = 1 there and keep
+    // every fan-out inline).
+    config.lanes = 2;
     config.journal_metadata = true;
     // Two-tier read cache sized below the read working set, with a
     // spill ring behind it, so the snapshot's read_cache_tiers section

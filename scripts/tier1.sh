@@ -7,7 +7,8 @@
 #   4. fault stage: the crash-consistency sweep, the failpoint /
 #      degraded-mode tests, and the journal corpus under ASan+UBSan
 #      (ctest labels: fault = failpoint/journal/hwtree suites, crash =
-#      the power-cut sweep);
+#      the power-cut sweep), plus the thread pool, whose fork-join
+#      state must outlive a call for helpers that dequeue late;
 #   5. overhead smoke check: the traced+faultable build (both disabled
 #      at runtime, the production default) stays within 15% of the
 #      fully stripped build on the FIDR write-path micro bench; the
@@ -18,7 +19,7 @@
 #      deployment that leaves it on;
 #   6. write-path pipelining smoke: bench_pipeline_depth --smoke gates
 #      on depth-invariant reduction results and pipeline occupancy
-#      (plus wall-clock speedup on multi-lane hosts);
+#      (plus a paired wall-clock speedup on multi-lane hosts);
 #   7. read-plane smoke: bench_read_throughput --smoke gates on
 #      lane/cache-invariant payloads (capacity 0 = cache off is the
 #      equivalence baseline), a nonzero Zipfian chunk-cache hit rate,
@@ -80,24 +81,24 @@ cmake -B "$TSAN_DIR" -S . -DFIDR_SANITIZE=thread \
 cmake --build "$TSAN_DIR" -j "$JOBS" \
     --target test_thread_pool test_parallel_determinism test_obs \
     test_pipeline_determinism test_read_plane test_gc test_cluster
-"$TSAN_DIR"/tests/test_thread_pool
-"$TSAN_DIR"/tests/test_parallel_determinism
-"$TSAN_DIR"/tests/test_obs
+timeout 900 "$TSAN_DIR"/tests/test_thread_pool
+timeout 900 "$TSAN_DIR"/tests/test_parallel_determinism
+timeout 900 "$TSAN_DIR"/tests/test_obs
 # Write-path pipelining at depth 4: bit-identity across depths/shards
 # and the power-cut-with-batches-in-flight crash sweep, raced by TSan.
-"$TSAN_DIR"/tests/test_pipeline_determinism
+timeout 900 "$TSAN_DIR"/tests/test_pipeline_determinism
 # Read-plane fan-out: concurrent fetch+decompress lanes against the
 # sharded two-tier chunk cache (hot/warm/spill lookups and fills) and
 # atomic SSD read counters, raced by TSan.
-"$TSAN_DIR"/tests/test_read_plane
+timeout 900 "$TSAN_DIR"/tests/test_read_plane
 # Incremental GC on the commit sequencer raced against in-flight write
 # batches and concurrent read lanes (relocation, cache rekey across
 # all tiers incl. the spill ring, fsck).
-"$TSAN_DIR"/tests/test_gc
+timeout 900 "$TSAN_DIR"/tests/test_gc
 # Multi-node cluster: the router's parallel per-node fan-out raced by
 # concurrent writers, a reader, and a GC thread across 3 nodes, plus
 # the serial-billing locks on the simulated fabric.
-"$TSAN_DIR"/tests/test_cluster
+timeout 900 "$TSAN_DIR"/tests/test_cluster
 
 echo "== tier-1: fault injection + crash sweep under ASan/UBSan =="
 cmake -B "$ASAN_DIR" -S . -DFIDR_SANITIZE=address \
@@ -105,8 +106,12 @@ cmake -B "$ASAN_DIR" -S . -DFIDR_SANITIZE=address \
     -DFIDR_BUILD_TOOLS=OFF
 cmake --build "$ASAN_DIR" -j "$JOBS" \
     --target test_fault test_crash_sweep test_journal test_hwtree \
-    test_pipeline_determinism test_gc
+    test_pipeline_determinism test_gc test_thread_pool
 ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" -L 'fault|crash'
+# The shared pool's fork-join: a helper task that dequeues after its
+# parallel_for returned must only touch the call's shared state.
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    timeout 900 "$ASAN_DIR"/tests/test_thread_pool
 
 echo "== tier-1: SIMD kernels under ASan/UBSan (cross-target fuzz) =="
 # The dispatch fuzz suite runs every kernel (scalar/sse4/avx2/avx512,
@@ -124,9 +129,9 @@ echo "== tier-1: LZ codec and decoder fuzz under ASan/UBSan =="
 # UBSan halts on the first report so a finding fails the stage.
 cmake --build "$ASAN_DIR" -j "$JOBS" --target test_compress test_fuzz
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-    "$ASAN_DIR"/tests/test_compress
+    timeout 900 "$ASAN_DIR"/tests/test_compress
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-    "$ASAN_DIR"/tests/test_fuzz
+    timeout 900 "$ASAN_DIR"/tests/test_fuzz
 
 echo "== tier-1: chunk cache and read plane under ASan/UBSan =="
 # The chunk cache's single fill path splices std::list nodes between
@@ -137,9 +142,9 @@ echo "== tier-1: chunk cache and read plane under ASan/UBSan =="
 cmake --build "$ASAN_DIR" -j "$JOBS" \
     --target test_chunk_cache_tiers test_read_plane
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-    "$ASAN_DIR"/tests/test_chunk_cache_tiers
+    timeout 900 "$ASAN_DIR"/tests/test_chunk_cache_tiers
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-    "$ASAN_DIR"/tests/test_read_plane
+    timeout 900 "$ASAN_DIR"/tests/test_read_plane
 
 echo "== tier-1: trace+fault overhead smoke (armed-off <= 1.15x stripped) =="
 run_bench() {  # run_bench <build-dir> <filter-regex> -> best real_time
@@ -201,12 +206,13 @@ echo "== tier-1: write-path pipelining smoke (depth sweep) =="
 # genuinely held >=2 batches in flight (queue-depth occupancy — the
 # right check on a 1-core host, where stages timeshare); on
 # multi-lane hosts additionally measured hash||execute overlap > 0
-# and depth-4 throughput strictly above depth-1.
+# and depth 4 faster than depth 1 in the median of 5 alternating
+# depth-1/depth-4 pairs of runs.
 (cd "$BUILD_DIR"/bench && ./bench_pipeline_depth --smoke)
 
 echo "== tier-1: read-plane smoke (lanes x cache x tier sweep) =="
 # bench_read_throughput asserts its own gates: payload checksums
-# identical across every (read_lanes, cache capacity, tier config)
+# identical across every (lanes, cache capacity, tier config)
 # cell — the capacity-0 cells prove the chunk cache is a pure
 # optimization — fetch/hit/warm/spill counts lane-invariant, and on
 # the Zipfian hot set, at the same DRAM budget: one-tier strictly

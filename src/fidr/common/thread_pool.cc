@@ -1,35 +1,71 @@
 #include "fidr/common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <memory>
 
 #include "fidr/common/status.h"
 
 namespace fidr {
 namespace {
 
-/** Join state shared by the shards of one parallel_for call. */
+/**
+ * State of one parallel_for call, shared by the caller and its helper
+ * tasks.  Held through a shared_ptr: a helper that dequeues after the
+ * call returned finds every shard claimed and never touches `body`.
+ */
 struct ForkJoin {
-    std::mutex mutex;
-    std::condition_variable done;
-    std::size_t pending = 0;
-    std::exception_ptr error;
+    using Body = std::function<void(std::size_t, std::size_t)>;
 
+    ForkJoin(const Body &body, std::size_t n, std::size_t shards)
+        : body(body), shards(shards), q(n / shards), r(n % shards)
+    {}
+
+    /** Claims and runs shards until none is left unclaimed. */
     void
-    finish(std::exception_ptr e)
+    drain()
     {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (e && !error)
-            error = std::move(e);
-        if (--pending == 0)
-            done.notify_all();
+        for (;;) {
+            const std::size_t s = next.fetch_add(1);
+            if (s >= shards)
+                return;
+            // Shard s covers [s*q + min(s,r), ...) where q = n/shards,
+            // r = n%shards — the first r shards get one extra index.
+            // Purely a function of (n, shards), so deterministic.
+            const std::size_t begin = s * q + std::min(s, r);
+            const std::size_t end = begin + q + (s < r ? 1 : 0);
+            std::exception_ptr e;
+            try {
+                body(begin, end);
+            } catch (...) {
+                e = std::current_exception();
+            }
+            std::lock_guard<std::mutex> lock(mutex);
+            if (e && !error)
+                error = std::move(e);
+            if (++finished == shards)
+                done.notify_all();
+        }
     }
 
+    /** Blocks until every shard finished (claimed shards all run). */
     void
     wait()
     {
         std::unique_lock<std::mutex> lock(mutex);
-        done.wait(lock, [this] { return pending == 0; });
+        done.wait(lock, [this] { return finished == shards; });
     }
+
+    const Body &body;
+    const std::size_t shards;
+    const std::size_t q;
+    const std::size_t r;
+    std::atomic<std::size_t> next{0};
+    std::mutex mutex;
+    std::condition_variable done;
+    std::size_t finished = 0;
+    std::exception_ptr error;
 };
 
 }  // namespace
@@ -86,65 +122,21 @@ ThreadPool::parallel_for(
         return;
     }
 
-    // Contiguous shards: shard s covers [s*q + min(s,r), ...) where
-    // q = n/shards, r = n%shards — the first r shards get one extra
-    // index.  Purely a function of (n, shards), so deterministic.
-    const std::size_t q = n / shards;
-    const std::size_t r = n % shards;
-
-    // On a one-lane host the enqueue/wake/join round trip cannot buy
-    // concurrency — the OS would just timeshare the same core — so run
-    // the shards inline, sequentially, with the exact same shard
-    // boundaries (per-shard tracing and any shard-local state stay
-    // byte-identical to the pooled execution).
-    static const bool kSingleLaneHost = hardware_lanes() == 1;
-    if (kSingleLaneHost) {
-        std::exception_ptr error;
-        std::size_t begin = 0;
-        for (std::size_t s = 0; s < shards; ++s) {
-            const std::size_t end = begin + q + (s < r ? 1 : 0);
-            try {
-                body(begin, end);
-            } catch (...) {
-                // Match the pooled contract: remaining shards still
-                // run; the first exception is rethrown after.
-                if (!error)
-                    error = std::current_exception();
-            }
-            begin = end;
-        }
-        FIDR_CHECK(begin == n);
-        if (error)
-            std::rethrow_exception(error);
-        return;
-    }
-
-    ForkJoin join;
-    join.pending = shards;
+    // The caller is one lane; shards - 1 helpers join it if a worker
+    // is free.  Whoever claims a shard first runs it, so a busy pool
+    // (or a caller that is itself a pool worker) never deadlocks.
+    const auto join = std::make_shared<ForkJoin>(body, n, shards);
     {
         std::lock_guard<std::mutex> lock(mutex_);
         FIDR_CHECK(!stopping_);
-        std::size_t begin = 0;
-        for (std::size_t s = 0; s < shards; ++s) {
-            const std::size_t len = q + (s < r ? 1 : 0);
-            const std::size_t end = begin + len;
-            queue_.push_back([&body, &join, begin, end] {
-                std::exception_ptr error;
-                try {
-                    body(begin, end);
-                } catch (...) {
-                    error = std::current_exception();
-                }
-                join.finish(std::move(error));
-            });
-            begin = end;
-        }
-        FIDR_CHECK(begin == n);
+        for (std::size_t s = 1; s < shards; ++s)
+            queue_.push_back([join] { join->drain(); });
     }
     work_ready_.notify_all();
-    join.wait();
-    if (join.error)
-        std::rethrow_exception(join.error);
+    join->drain();
+    join->wait();
+    if (join->error)
+        std::rethrow_exception(join->error);
 }
 
 void

@@ -39,6 +39,8 @@ backoff_for(unsigned attempt)
 
 FidrSystem::FidrSystem(const FidrConfig &config)
     : config_(config),
+      pool_(config.lanes == 0 ? ThreadPool::hardware_lanes()
+                              : config.lanes),
       platform_(config.platform),
       nic_(config.nic),
       containers_(platform_.data_ssds(), config.container_bytes,
@@ -49,12 +51,6 @@ FidrSystem::FidrSystem(const FidrConfig &config)
                       : 0),
       gc_scheduler_(config.gc)
 {
-    const std::size_t compress_lanes =
-        config_.compress_lanes == 0 ? ThreadPool::hardware_lanes()
-                                    : config_.compress_lanes;
-    if (compress_lanes > 1)
-        compress_pool_ = std::make_unique<ThreadPool>(compress_lanes);
-    read_pipeline_ = std::make_unique<ReadPipeline>(config_.read_lanes);
     if (config_.chunk_cache_bytes > 0) {
         if (config_.chunk_cache_two_tier &&
             containers_.spill_capacity_bytes() > 0) {
@@ -134,9 +130,6 @@ FidrSystem::FidrSystem(const FidrConfig &config)
           hist_.read_fetch, hist_.read_decompress, hist_.read_return})
         h->set_exemplar_capacity(kTailExemplars);
     if (config_.in_flight_batches > 1) {
-        WritePipelineConfig pipeline;
-        pipeline.depth = config_.in_flight_batches;
-        pipeline.hash_workers = config_.pipeline_hash_workers;
         WritePipelineMetrics sinks;
         sinks.submit_stall_ns =
             &metrics_.histogram("pipeline.submit_stall_ns");
@@ -145,7 +138,7 @@ FidrSystem::FidrSystem(const FidrConfig &config)
         sinks.stalls = &metrics_.counter("pipeline.stalls");
         sinks.overlap_ns = &metrics_.counter("pipeline.overlap_ns");
         pipeline_ = std::make_unique<WritePipeline>(
-            pipeline, nic_,
+            config_.in_flight_batches, pool_, nic_,
             [this](nic::SealedBatch &batch) { stage_hash(batch); },
             [this](nic::SealedBatch &batch) {
                 return execute_batch(batch);
@@ -224,23 +217,21 @@ FidrSystem::build_cache_structures()
     dedup_ = std::make_unique<DedupIndex>(*table_cache_);
 }
 
-Status
-FidrSystem::retry_transient(const std::function<Status()> &op)
+bool
+FidrSystem::retry_again(const Status &status, unsigned attempt)
 {
-    Status status = op();
-    for (unsigned attempt = 0;
-         status.code() == StatusCode::kUnavailable &&
-         attempt < config_.transient_retries;
-         ++attempt) {
-        // Transient device error: back off (accounted, not slept) and
-        // re-issue.  Non-transient errors surface immediately.
-        ++fault_stats_.transient_retries;
-        fault_stats_.backoff_ns += backoff_for(attempt);
-        status = op();
-    }
-    if (status.code() == StatusCode::kUnavailable)
+    // Non-transient errors (and successes) surface immediately.
+    if (status.code() != StatusCode::kUnavailable)
+        return false;
+    if (attempt >= config_.transient_retries) {
         ++fault_stats_.retry_exhausted;
-    return status;
+        return false;
+    }
+    // Transient device error: back off (accounted, not slept) and
+    // re-issue.
+    ++fault_stats_.transient_retries;
+    fault_stats_.backoff_ns += backoff_for(attempt);
+    return true;
 }
 
 Status
@@ -421,7 +412,7 @@ FidrSystem::stage_hash(nic::SealedBatch &batch)
     const obs::StageTimer timer;
     FIDR_TRACE_SPAN(span, obs::Tpoint::kWriteHash, batch.epoch,
                     batch.chunks.size());
-    nic_.hash_sealed(batch);
+    nic_.hash_sealed(batch, &pool_);
     const std::uint64_t elapsed = timer.elapsed_ns();
     hist_.hash->record(elapsed, obs::ScopedRequest::current_trace());
     pipe_hash_busy_->record(elapsed);
@@ -593,10 +584,7 @@ FidrSystem::stage_compress(const nic::SealedBatch &batch, BatchPlan &plan)
     const obs::StageTimer timer;
     FIDR_TRACE_SPAN(span, obs::Tpoint::kWriteCompress, batch.epoch,
                     unique_bytes);
-    if (compress_pool_)
-        compress_pool_->parallel_for(plan.unique.size(), compress_range);
-    else
-        compress_range(0, plan.unique.size());
+    pool_.parallel_for(plan.unique.size(), compress_range);
     hist_.compress->record(timer.elapsed_ns(),
                            obs::ScopedRequest::current_trace());
     return Status::ok();
@@ -1393,8 +1381,7 @@ FidrSystem::run_read_jobs(std::vector<ReadJob> &jobs)
     // Fan-out stage: fetch + decompress every job the hot tier did not
     // serve.  Pure per-job work only — flash page copies, the LZ
     // kernel, job-local retry counts and timings.  No ledger, stat or
-    // histogram is touched here (the determinism contract of
-    // read_pipeline.h).
+    // histogram is touched here (the determinism contract of ReadJob).
     std::vector<std::size_t> pending;
     pending.reserve(jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -1441,25 +1428,34 @@ FidrSystem::run_read_jobs(std::vector<ReadJob> &jobs)
         else
             job.payload = raw.take();
     };
-    read_pipeline_->run(
-        jobs, pending,
-        [&load](ReadJob &job) {
-            load(job);
-            if (job.status.is_ok() || job.tier != cache::CacheTier::kSpill)
-                return;
-            // The spill tier is best-effort: any failure (transient
-            // budget exhausted, torn/lapped bytes failing decode or the
-            // size check) falls back to the authoritative container
-            // fetch, which is then billed and filled as a plain miss.
-            job.tier = cache::CacheTier::kNone;
-            job.status = Status::ok();
-            job.fetch_ok = false;
-            job.fetch_attempts = 0;
-            job.compressed.clear();
-            load(job);
-        },
-        obs::ScopedRequest::current_trace(),
-        obs::ScopedRequest::current_stream());
+    const auto run_job = [&load](ReadJob &job) {
+        load(job);
+        if (job.status.is_ok() || job.tier != cache::CacheTier::kSpill)
+            return;
+        // The spill tier is best-effort: any failure (transient budget
+        // exhausted, torn/lapped bytes failing decode or the size
+        // check) falls back to the authoritative container fetch,
+        // which is then billed and filled as a plain miss.
+        job.tier = cache::CacheTier::kNone;
+        job.status = Status::ok();
+        job.fetch_ok = false;
+        job.fetch_attempts = 0;
+        job.compressed.clear();
+        load(job);
+    };
+    // Each shard re-opens the read request's context: shards run on
+    // pool workers as well as here, and their fetch/decompress records
+    // must join the request's causal chain (obs/request.h).
+    const std::uint64_t trace_id = obs::ScopedRequest::current_trace();
+    const std::uint64_t stream_tag = obs::ScopedRequest::current_stream();
+    pool_.parallel_for(
+        pending.size(), [&](std::size_t begin, std::size_t end) {
+            obs::ScopedRequest request(trace_id, stream_tag);
+            FIDR_TRACE_SPAN(span, obs::Tpoint::kReadFetchLane, begin,
+                            end - begin);
+            for (std::size_t i = begin; i < end; ++i)
+                run_job(jobs[pending[i]]);
+        });
 
     // Serial billing stage, in job order: every fabric DMA, per-SSD
     // attribution, fault-stat merge, engine counter and cache fill

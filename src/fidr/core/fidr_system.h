@@ -40,7 +40,6 @@
 #include "fidr/core/dedup_index.h"
 #include "fidr/core/gc.h"
 #include "fidr/core/platform.h"
-#include "fidr/core/read_pipeline.h"
 #include "fidr/core/server.h"
 #include "fidr/core/space.h"
 #include "fidr/core/write_pipeline.h"
@@ -60,12 +59,15 @@ struct FidrConfig {
     bool hw_cache_engine = true;  ///< false => software cache index.
     unsigned tree_update_lanes = 4;
     /**
-     * LZ cores in the Compression Engine working concurrently on
-     * disjoint unique chunks of a batch.  0 = one lane per hardware
-     * thread; 1 = serial compression on the calling thread.  Output
-     * and accounting are bit-identical across lane counts.
+     * Worker threads in the system's one ThreadPool, which stands in
+     * for every array of hardware lanes: the NIC's SHA cores, the
+     * write pipeline's hash tasks, the Compression Engine's LZ cores
+     * and the read plane's fetch+decompress lanes.  0 = one worker per
+     * hardware thread; 1 = one worker, so every fan-out runs inline on
+     * its caller.  Output and accounting are bit-identical across lane
+     * counts (all billing is serialized after each join).
      */
-    std::size_t compress_lanes = 0;
+    std::size_t lanes = 0;
     cache::EvictionPolicy eviction_policy = cache::EvictionPolicy::kLru;
 
     /**
@@ -77,18 +79,6 @@ struct FidrConfig {
      * of from the admitting write().
      */
     std::size_t in_flight_batches = 4;
-
-    /** Hash-stage workers; 0 = min(depth, hardware lanes). */
-    std::size_t pipeline_hash_workers = 0;
-
-    /**
-     * Read-plane fan-out: lanes fetching and decompressing the
-     * coalesced chunks of a read_batch() concurrently.  0 = one lane
-     * per hardware thread; 1 = serial on the calling thread.  Results
-     * and ledgers are bit-identical across lane counts (all billing is
-     * serialized after the join; see read_pipeline.h).
-     */
-    std::size_t read_lanes = 0;
 
     /**
      * Chunk read cache capacity in bytes (decompressed chunk content
@@ -180,9 +170,9 @@ class FidrSystem : public StorageServer {
     /**
      * Batched Fig 6b reads: one pipeline barrier for the whole batch,
      * slots resolving to the same physical chunk coalesce into a
-     * single fetch+decompress, and the fetch stage fans across
-     * `read_lanes` with all billing serialized after the join
-     * (read_pipeline.h).  read() is the size-1 case.  Per-slot errors
+     * single fetch+decompress, and the fetch stage fans across the
+     * system's `lanes` with all billing serialized after the join
+     * (see ReadJob).  read() is the size-1 case.  Per-slot errors
      * (unknown LBA, degraded-mode device failures) fail only their own
      * slot.
      */
@@ -312,9 +302,9 @@ class FidrSystem : public StorageServer {
     /**
      * Stream/tenant tag stamped into the request context of subsequent
      * write batches and read batches (0 = untagged).  The tag rides
-     * the same channel as the trace id (nic::SealedBatch,
-     * ReadPipeline::run) — the plumbing ROADMAP item 1's per-tenant
-     * QoS dimension will use.
+     * the same channel as the trace id (nic::SealedBatch, the read
+     * fan-out in run_read_jobs) — the plumbing ROADMAP item 1's
+     * per-tenant QoS dimension will use.
      */
     void set_stream_tag(std::uint64_t tag) { stream_tag_ = tag; }
     std::uint64_t stream_tag() const { return stream_tag_; }
@@ -435,6 +425,57 @@ class FidrSystem : public StorageServer {
     };
 
     /**
+     * One coalesced physical-chunk read serving >= 1 batch slots.
+     *
+     * read_batch splits the Fig 6b read flow into pure per-chunk work
+     * and order-sensitive shared-state mutation; only the former fans
+     * out:
+     *   1. *Resolve* (serial, input order): NIC LBA-lookup short-
+     *      circuit, LBA transfer + CPU billing, LBA->PBA lookup.
+     *   2. *Coalesce* (serial): slots resolving to the same physical
+     *      chunk collapse into one job, in first-occurrence order, so
+     *      each chunk is fetched and decompressed exactly once.
+     *   3. *Fetch + decompress* (parallel_for on the system pool):
+     *      each job the hot cache tier did not serve gets its
+     *      compressed image (warm hit: in hand; spill hit: the spill
+     *      ring; miss: the container log) and decompresses it.  Pure
+     *      per-job work only.
+     *   4. *Bill + return* (serial, job then input order): every DMA,
+     *      per-SSD attribution, histogram, fault-stat merge and cache
+     *      fill, so results and ledgers are bit-identical across lane
+     *      counts.
+     */
+    struct ReadJob {
+        tables::ChunkLocation location;
+        /** Data SSD holding the chunk's container (per-SSD billing). */
+        std::size_t source_ssd = 0;
+        /** Batch slot indexes this job's payload serves (>= 1). */
+        std::vector<std::size_t> slots;
+
+        /** Which cache tier answered the probe (kNone = miss).  kHot
+         *  carries `payload` and skips the lane stage; kWarm carries
+         *  `compressed`; kSpill carries `spill`.  A spill read that
+         *  fails in the lane falls back to the container fetch and
+         *  turns the job into a miss (billed and filled as one). */
+        cache::CacheTier tier = cache::CacheTier::kNone;
+        bool fetch_ok = false;        ///< Compressed image in hand.
+        Buffer payload;               ///< Decompressed chunk when ok.
+        /** The chunk's compressed image: from the warm tier (resolve
+         *  stage), the spill ring or the container fetch (lane stage).
+         *  Feeds the two-tier cache fill after the join. */
+        Buffer compressed;
+        cache::SpillRef spill;        ///< kSpill: where the image lives.
+        /** Transient-retry attempts consumed by the fetch (job-local;
+         *  merged into FaultStats serially after the join). */
+        unsigned fetch_attempts = 0;
+        Status status;                ///< First fetch/decompress error.
+        bool ready = false;           ///< Set serially once billed + ok.
+
+        std::uint64_t fetch_ns = 0;
+        std::uint64_t decompress_ns = 0;
+    };
+
+    /**
      * Per-batch working state threaded through the serial stages.
      * Everything in here is private to one batch's execution.
      */
@@ -451,8 +492,8 @@ class FidrSystem : public StorageServer {
     /** Seals the open batch and runs/submits it (depth-dependent). */
     Status process_batch();
 
-    // The Fig 6a write path as explicit stages.  stage_hash runs on
-    // hash-stage workers at depth > 1 (pure per-batch work); every
+    // The Fig 6a write path as explicit stages.  stage_hash runs as a
+    // pool task at depth > 1 (pure per-batch work); every
     // other stage runs inside execute_batch on the commit sequencer,
     // in batch-epoch order, because each one reads state an earlier
     // batch's commit mutates (dedup verdicts, cache recency, journal
@@ -502,13 +543,29 @@ class FidrSystem : public StorageServer {
      * and its backoff into FaultStats; an exhausted op counts
      * retry_exhausted.  Non-transient errors surface immediately.
      */
-    Status retry_transient(const std::function<Status()> &op);
+    template <typename Op>
+    Status
+    retry_transient(Op &&op)
+    {
+        Status status = op();
+        for (unsigned attempt = 0; retry_again(status, attempt); ++attempt)
+            status = op();
+        return status;
+    }
 
-    /** Serial resolve + coalesce + fan-out + serial billing of one
-     *  read batch; see read_pipeline.h for the stage contract. */
+    /** retry_transient's loop test: accounts the retry (or the
+     *  exhaustion) that `status` after `attempt` retries calls for. */
+    bool retry_again(const Status &status, unsigned attempt);
+
+    /** Fan-out + serial billing of one read batch's coalesced jobs
+     *  (stages 3-4 of ReadJob's contract). */
     void run_read_jobs(std::vector<ReadJob> &jobs);
 
     FidrConfig config_;
+    /** The one worker pool behind every lane fan-out (FidrConfig::
+     *  lanes).  Declared before every user so it is destroyed last:
+     *  pipeline_ quiesces its hash tasks before the pool joins. */
+    ThreadPool pool_;
     Platform platform_;
     nic::FidrNic nic_;
     std::unique_ptr<cache::CacheIndex> index_;
@@ -520,10 +577,6 @@ class FidrSystem : public StorageServer {
     tables::ContainerLog containers_;
     accel::CompressionEngine compressor_;
     accel::DecompressionEngine decomp_;
-    /** Compression lanes; null when compress_lanes resolves to 1. */
-    std::unique_ptr<ThreadPool> compress_pool_;
-    /** Read-plane fan-out (inline when read_lanes resolves to 1). */
-    std::unique_ptr<ReadPipeline> read_pipeline_;
 
     /**
      * Spill backend over the container log's reserved tail region of

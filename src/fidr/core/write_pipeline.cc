@@ -6,20 +6,15 @@
 
 namespace fidr::core {
 
-WritePipeline::WritePipeline(const WritePipelineConfig &config,
+WritePipeline::WritePipeline(std::size_t depth, ThreadPool &pool,
                              nic::FidrNic &nic, HashFn hash,
                              ExecuteFn execute,
                              WritePipelineMetrics metrics)
-    : config_(config), nic_(nic), hash_(std::move(hash)),
+    : depth_(depth), pool_(pool), nic_(nic), hash_(std::move(hash)),
       execute_(std::move(execute)), metrics_(metrics)
 {
-    FIDR_CHECK(config_.depth >= 1);
+    FIDR_CHECK(depth_ >= 1);
     FIDR_CHECK(hash_ && execute_);
-    const std::size_t workers =
-        config_.hash_workers != 0
-            ? config_.hash_workers
-            : std::min(config_.depth, ThreadPool::hardware_lanes());
-    hash_pool_ = std::make_unique<ThreadPool>(workers);
     executor_ = std::thread([this] { executor_loop(); });
 }
 
@@ -27,6 +22,7 @@ WritePipeline::~WritePipeline()
 {
     // Nothing may be running when the executor stops: committed work
     // already drained, failed work was aborted by the executor itself.
+    // quiesce() also waits out every hash task queued on the pool.
     quiesce();
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -34,7 +30,6 @@ WritePipeline::~WritePipeline()
     }
     executor_cv_.notify_all();
     executor_.join();
-    hash_pool_.reset();
 }
 
 Status
@@ -42,14 +37,14 @@ WritePipeline::submit(std::uint64_t epoch)
 {
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        if (in_flight_locked() >= config_.depth && !failed_) {
+        if (in_flight_locked() >= depth_ && !failed_) {
             if (metrics_.stalls)
                 metrics_.stalls->add();
             FIDR_TRACE_SPAN(stall_span, obs::Tpoint::kPipelineStall,
                             epoch, flights_.size());
             obs::StageTimer stall;
             caller_cv_.wait(lock, [this] {
-                return in_flight_locked() < config_.depth || failed_;
+                return in_flight_locked() < depth_ || failed_;
             });
             if (metrics_.submit_stall_ns)
                 metrics_.submit_stall_ns->record(stall.elapsed_ns());
@@ -63,8 +58,8 @@ WritePipeline::submit(std::uint64_t epoch)
         if (metrics_.queue_depth)
             metrics_.queue_depth->record(in_flight_locked());
     }
-    FIDR_TPOINT(obs::Tpoint::kPipelineSubmit, epoch, config_.depth);
-    hash_pool_->submit([this, epoch] { hash_task(epoch); });
+    FIDR_TPOINT(obs::Tpoint::kPipelineSubmit, epoch, depth_);
+    pool_.submit([this, epoch] { hash_task(epoch); });
     return Status::ok();
 }
 
@@ -129,9 +124,13 @@ WritePipeline::hash_task(std::uint64_t epoch)
                 break;
             }
         }
+        // Notify under the lock: the pool outlives the pipeline, and
+        // once hash_outstanding_ drops the owner may quiesce and
+        // destroy it, so this task must not touch `this` after the
+        // unlock.
+        executor_cv_.notify_all();
+        caller_cv_.notify_all();  // quiesce() also waits on hash work.
     }
-    executor_cv_.notify_all();
-    caller_cv_.notify_all();  // quiesce() also waits on hash work.
 }
 
 void

@@ -5,11 +5,11 @@
  * The hardware FIDR write path overlaps batches: while the Compression
  * Engine and the P2P DMAs finish batch E, the NIC's SHA engines are
  * already hashing batch E+1.  This class is the software stand-in: up
- * to `depth` sealed batches are in flight at once, a pool of hash
- * workers runs the (stateless, order-insensitive) SHA stage per batch,
- * and a single **commit sequencer** thread applies every stateful
- * stage — dedup/tree resolve, compression, container DMA, journal
- * append, metadata apply — in strict batch-epoch order.
+ * to `depth` sealed batches are in flight at once, hash tasks on the
+ * owner's worker pool run the (stateless, order-insensitive) SHA stage
+ * per batch, and a single **commit sequencer** thread applies every
+ * stateful stage — dedup/tree resolve, compression, container DMA,
+ * journal append, metadata apply — in strict batch-epoch order.
  *
  * Why only the hash stage fans out: resolve(E+1) reads state that
  * commit(E) mutates (dedup verdicts change when an earlier batch
@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -46,14 +45,6 @@
 #include "fidr/obs/metrics.h"
 
 namespace fidr::core {
-
-/** Pipeline sizing. */
-struct WritePipelineConfig {
-    /** Max batches in flight (admission blocks beyond this). */
-    std::size_t depth = 4;
-    /** Hash-stage workers; 0 = min(depth, hardware lanes). */
-    std::size_t hash_workers = 0;
-};
 
 /** Optional instrumentation sinks (null = not recorded). */
 struct WritePipelineMetrics {
@@ -80,7 +71,12 @@ class WritePipeline {
     /** Serial stages; on success must end with nic.drop_sealed(). */
     using ExecuteFn = std::function<Status(nic::SealedBatch &)>;
 
-    WritePipeline(const WritePipelineConfig &config, nic::FidrNic &nic,
+    /**
+     * `depth` = max batches in flight (admission blocks beyond it).
+     * Hash tasks are submit()ted to `pool`, which must outlive the
+     * pipeline; the commit sequencer is the pipeline's own thread.
+     */
+    WritePipeline(std::size_t depth, ThreadPool &pool, nic::FidrNic &nic,
                   HashFn hash, ExecuteFn execute,
                   WritePipelineMetrics metrics);
 
@@ -114,7 +110,7 @@ class WritePipeline {
     /** Batches submitted but not yet committed/aborted. */
     std::size_t in_flight() const;
 
-    std::size_t depth() const { return config_.depth; }
+    std::size_t depth() const { return depth_; }
 
   private:
     struct Flight {
@@ -140,7 +136,8 @@ class WritePipeline {
     void credit_overlap_locked(std::chrono::steady_clock::time_point a,
                                std::chrono::steady_clock::time_point b);
 
-    WritePipelineConfig config_;
+    std::size_t depth_;
+    ThreadPool &pool_;
     nic::FidrNic &nic_;
     HashFn hash_;
     ExecuteFn execute_;
@@ -159,7 +156,6 @@ class WritePipeline {
     bool failed_ = false;
     Status error_ = Status::ok();
 
-    std::unique_ptr<ThreadPool> hash_pool_;
     std::thread executor_;
 };
 

@@ -39,16 +39,23 @@ hash_shard_mb(Chunks &chunks, std::size_t begin, std::size_t end)
     }
 }
 
+/** parallel_for on `pool`, or the whole range inline when null. */
+void
+run_lanes(ThreadPool *pool, std::size_t n,
+          const std::function<void(std::size_t, std::size_t)> &body)
+{
+    if (pool)
+        pool->parallel_for(n, body);
+    else
+        body(0, n);
+}
+
 }  // namespace
 
 FidrNic::FidrNic(FidrNicConfig config) : config_(config)
 {
     FIDR_CHECK(config_.buffer_capacity >= kChunkSize);
     FIDR_CHECK(config_.hash_batch >= 1);
-    lanes_ = config_.hash_lanes == 0 ? ThreadPool::hardware_lanes()
-                                     : config_.hash_lanes;
-    if (lanes_ > 1)
-        pool_ = std::make_unique<ThreadPool>(lanes_);
 }
 
 Status
@@ -69,7 +76,7 @@ FidrNic::buffer_write(Lba lba, Buffer data)
 }
 
 std::vector<Digest>
-FidrNic::hash_buffered()
+FidrNic::hash_buffered(ThreadPool *pool)
 {
     // Count the work serially first: lifetime counters must not be
     // touched inside the parallel region (determinism contract).
@@ -91,10 +98,7 @@ FidrNic::hash_buffered()
     };
     // Each lane owns a contiguous shard of the batch, like the paper's
     // independent SHA cores draining disjoint slices of NIC DRAM.
-    if (pool_)
-        pool_->parallel_for(chunks_.size(), hash_range);
-    else
-        hash_range(0, chunks_.size());
+    run_lanes(pool, chunks_.size(), hash_range);
     hashes_computed_ += unhashed;
     return digests;
 }
@@ -198,26 +202,17 @@ FidrNic::sealed_batches() const
 }
 
 void
-FidrNic::hash_chunks(std::vector<BufferedChunk> &chunks)
-{
-    const auto hash_range = [&chunks](std::size_t begin, std::size_t end) {
-        FIDR_TRACE_SPAN(lane_span, obs::Tpoint::kWriteHashLane, begin,
-                        end - begin);
-        hash_shard_mb(chunks, begin, end);
-    };
-    if (pool_)
-        pool_->parallel_for(chunks.size(), hash_range);
-    else
-        hash_range(0, chunks.size());
-}
-
-void
-FidrNic::hash_sealed(SealedBatch &batch)
+FidrNic::hash_sealed(SealedBatch &batch, ThreadPool *pool)
 {
     std::uint64_t fresh = 0;
     for (const BufferedChunk &chunk : batch.chunks)
         fresh += chunk.hashed ? 0 : 1;
-    hash_chunks(batch.chunks);
+    run_lanes(pool, batch.chunks.size(),
+              [&batch](std::size_t begin, std::size_t end) {
+                  FIDR_TRACE_SPAN(lane_span, obs::Tpoint::kWriteHashLane,
+                                  begin, end - begin);
+                  hash_shard_mb(batch.chunks, begin, end);
+              });
     batch.fresh_hashes = fresh;
 }
 

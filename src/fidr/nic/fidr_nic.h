@@ -44,14 +44,6 @@ namespace fidr::nic {
 struct FidrNicConfig {
     std::uint64_t buffer_capacity = 64 * 1024 * 1024;  ///< NIC DRAM bytes.
     std::size_t hash_batch = 256;  ///< Chunks hashed per batch.
-    /**
-     * SHA-256 lanes, mirroring the multiple hash cores the paper
-     * instantiates per NIC (Table 4).  0 = one lane per hardware
-     * thread; 1 = serial hashing on the calling thread (the
-     * pre-parallel behaviour).  Digests are bit-identical for every
-     * lane count; only wall-clock changes.
-     */
-    std::size_t hash_lanes = 0;
 };
 
 /** One buffered write chunk awaiting the reduction pipeline. */
@@ -113,9 +105,13 @@ class FidrNic {
 
     /**
      * Runs the SHA-256 engines over every unhashed buffered chunk and
-     * returns the digests of the whole buffered batch in order.
+     * returns the digests of the whole buffered batch in order.  The
+     * engines are `pool`'s lanes (the paper's multiple hash cores per
+     * NIC, Table 4), one contiguous shard of the batch each; null
+     * hashes inline on the caller.  Digests are bit-identical for
+     * every lane count; only wall-clock changes.
      */
-    std::vector<Digest> hash_buffered();
+    std::vector<Digest> hash_buffered(ThreadPool *pool = nullptr);
 
     /**
      * LBA Lookup module (read path, Fig 7): newest buffered write for
@@ -182,11 +178,12 @@ class FidrNic {
 
     /**
      * Runs the SHA-256 engines over the batch's unhashed chunks and
-     * records the fresh-hash count in the batch.  The lifetime hash
-     * counter is only advanced at drop_sealed(), on the commit
-     * sequencer, so it stays in epoch order.
+     * records the fresh-hash count in the batch; `pool` as for
+     * hash_buffered().  The lifetime hash counter is only advanced at
+     * drop_sealed(), on the commit sequencer, so it stays in epoch
+     * order.
      */
-    void hash_sealed(SealedBatch &batch);
+    void hash_sealed(SealedBatch &batch, ThreadPool *pool = nullptr);
 
     /** peek_unique over a sealed batch (same retention contract). */
     Result<std::vector<const BufferedChunk *>> peek_unique_sealed(
@@ -215,16 +212,8 @@ class FidrNic {
 
     const FidrNicConfig &config() const { return config_; }
 
-    /** Resolved lane count (config.hash_lanes with 0 = hardware). */
-    std::size_t hash_lanes() const { return lanes_; }
-
   private:
-    void hash_chunks(std::vector<BufferedChunk> &chunks);
-
     FidrNicConfig config_;
-    std::size_t lanes_ = 1;
-    /** Hash lanes; null when lanes_ == 1 (serial path). */
-    std::unique_ptr<ThreadPool> pool_;
     std::deque<BufferedChunk> chunks_;
     /** lba -> index of newest buffered write, for the LBA Lookup. */
     std::unordered_map<Lba, std::size_t> newest_;

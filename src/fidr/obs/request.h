@@ -12,8 +12,9 @@
  * re-establishes the context with a `ScopedRequest` before running.
  *
  * Propagation is deliberately explicit: the id travels *in the work
- * item* (`nic::SealedBatch::trace_id`, `core::ReadJob` via
- * `ReadPipeline::run`), never through hidden queues, so a record's
+ * item* (`nic::SealedBatch::trace_id`, the read fan-out's shard
+ * body in `FidrSystem::run_read_jobs`), never through hidden queues,
+ * so a record's
  * trace id always names the request the recording thread was actually
  * serving.  `Tracer::record` stamps the calling thread's current
  * context into every trace record; `Histogram::record` uses it to

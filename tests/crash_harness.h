@@ -71,8 +71,7 @@ struct CrashHarnessConfig {
         config.journal_metadata = true;
         config.container_bytes = 256 * 1024;
         config.nic.hash_batch = 64;
-        config.nic.hash_lanes = 1;
-        config.compress_lanes = 1;
+        config.lanes = 1;
         // Synchronous write path by default: faults surface from the
         // op that hit them, so run_until_fire cuts power at exactly
         // the injected failure.  Sweeps that want batches in flight at

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
+#include <optional>
+#include <thread>
 #include <unordered_map>
 
+#include "fidr/cluster/router.h"
 #include "fidr/core/baseline_system.h"
 #include "fidr/core/fidr_system.h"
 #include "fidr/core/perf_model.h"
@@ -337,6 +342,63 @@ TEST(Projection, FidrBeatsBaseline)
     EXPECT_GT(pb.cores_required, 2.0 * pf.cores_required);
     EXPECT_GT(pf.throughput(), 1.5 * pb.throughput());
     EXPECT_GT(pf.tree_cap, 0.0);
+}
+
+/** Threads of this process (Linux /proc/self/task), or nullopt. */
+std::optional<std::size_t>
+process_threads()
+{
+    std::error_code ec;
+    std::filesystem::directory_iterator it("/proc/self/task", ec);
+    if (ec)
+        return std::nullopt;
+    std::size_t n = 0;
+    for (; it != std::filesystem::directory_iterator(); it.increment(ec)) {
+        if (ec)
+            return std::nullopt;
+        ++n;
+    }
+    return n;
+}
+
+/** Polls until the thread count drops back to `n` (a joined thread
+ *  can linger in /proc briefly while the kernel reaps it). */
+std::size_t
+settle_threads(std::size_t n)
+{
+    std::size_t now = process_threads().value_or(0);
+    for (int i = 0; i < 200 && now != n; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        now = process_threads().value_or(0);
+    }
+    return now;
+}
+
+TEST(FidrSystem, ThreadShapeIsOnePoolPlusTheSequencer)
+{
+    // One pool of `lanes` workers serves every fan-out, plus the write
+    // pipeline's commit sequencer: lanes + 1 threads per system, all
+    // gone once it is destroyed.
+    const std::optional<std::size_t> base = process_threads();
+    if (!base)
+        GTEST_SKIP() << "/proc/self/task is not readable";
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE("lanes " + std::to_string(lanes));
+        FidrConfig config = small_fidr();
+        config.lanes = lanes;
+        {
+            FidrSystem system(config);
+            EXPECT_EQ(process_threads(), *base + lanes + 1);
+        }
+        EXPECT_EQ(settle_threads(*base), *base);
+        {
+            cluster::ClusterConfig cluster_config;
+            cluster_config.nodes = 3;
+            cluster::ClusterRouter router(cluster_config, config);
+            EXPECT_EQ(process_threads(), *base + 3 * (lanes + 1));
+        }
+        EXPECT_EQ(settle_threads(*base), *base);
+    }
 }
 
 TEST(Projection, BottleneckNamed)

@@ -177,8 +177,7 @@ small_fidr(bool journaled)
     config.journal_metadata = journaled;
     config.container_bytes = 64 * 1024;
     config.nic.hash_batch = 64;
-    config.nic.hash_lanes = 1;
-    config.compress_lanes = 1;
+    config.lanes = 1;
     return config;
 }
 

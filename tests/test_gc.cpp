@@ -308,8 +308,7 @@ TEST(GcConcurrent, StepsOverlapInFlightBatches)
 {
     FidrConfig config = gc_fidr();
     config.in_flight_batches = 4;
-    config.pipeline_hash_workers = 2;
-    config.read_lanes = 2;
+    config.lanes = 2;
     config.chunk_cache_bytes = 256 * 1024;
     config.platform.data_ssd.capacity_bytes = 64 * kMiB;
     config.nic.hash_batch = 16;
@@ -461,8 +460,7 @@ TEST(GcConcurrent, SpillTierRacesReadsWritesAndGc)
 {
     FidrConfig config = gc_fidr();
     config.in_flight_batches = 4;
-    config.pipeline_hash_workers = 2;
-    config.read_lanes = 2;
+    config.lanes = 2;
     // Small enough that each round's reads overflow the warm tier
     // into the ring (retirements keep draining DRAM, so a roomy warm
     // tier would never evict and the ring would sit idle).

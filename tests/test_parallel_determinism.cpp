@@ -1,7 +1,7 @@
 // Determinism boundary of the parallel data plane: lane counts may
 // only change wall-clock, never results.  Digests, reduction stats,
 // stored bytes, per-device DMA ledgers and CPU billing must be
-// bit-identical for hash_lanes/compress_lanes in {1, 4} on the same
+// bit-identical for lanes in {1, 4} on the same
 // trace, because billing and ledger mutation stay on the calling
 // thread after the parallel regions join.
 
@@ -41,8 +41,7 @@ run_trace(std::size_t lanes,
 {
     core::FidrConfig config;
     config.platform = small_platform();
-    config.nic.hash_lanes = lanes;
-    config.compress_lanes = lanes;
+    config.lanes = lanes;
     core::FidrSystem system(config);
     for (const workload::IoRequest &req : requests) {
         Buffer data = req.data;
@@ -69,11 +68,11 @@ TEST(ParallelDeterminism, NicDigestsIdenticalAcrossLaneCounts)
     for (int run = 0; run < 2; ++run) {
         nic::FidrNicConfig config;
         config.buffer_capacity = 2048ull * kChunkSize;
-        config.hash_lanes = lane_counts[run];
+        ThreadPool lanes(lane_counts[run]);
         nic::FidrNic nic(config);
         for (const auto &req : requests)
             ASSERT_TRUE(nic.buffer_write(req.lba, req.data).is_ok());
-        per_lane[run] = nic.hash_buffered();
+        per_lane[run] = nic.hash_buffered(&lanes);
         EXPECT_EQ(nic.hashes_computed(), requests.size());
     }
     ASSERT_EQ(per_lane[0].size(), per_lane[1].size());
@@ -120,7 +119,7 @@ TEST(ParallelDeterminism, SystemResultsIdenticalAcrossLaneCounts)
 
 TEST(ParallelDeterminism, AutoLaneDefaultMatchesSerialResults)
 {
-    // hash_lanes = 0 resolves to the hardware width; results must
+    // lanes = 0 resolves to the hardware width; results must
     // still match the serial run on any machine.
     workload::WorkloadSpec spec = workload::write_m_spec();
     workload::WorkloadGenerator gen(spec);
@@ -128,14 +127,12 @@ TEST(ParallelDeterminism, AutoLaneDefaultMatchesSerialResults)
 
     core::FidrConfig serial_config;
     serial_config.platform = small_platform();
-    serial_config.nic.hash_lanes = 1;
-    serial_config.compress_lanes = 1;
+    serial_config.lanes = 1;
     core::FidrSystem serial(serial_config);
 
     core::FidrConfig auto_config;
     auto_config.platform = small_platform();
-    auto_config.nic.hash_lanes = 0;
-    auto_config.compress_lanes = 0;
+    auto_config.lanes = 0;
     core::FidrSystem automatic(auto_config);
 
     for (const auto &req : requests) {
@@ -173,8 +170,7 @@ TEST(ParallelDeterminism, PerSsdReadBillingFollowsContainerPlacement)
     config.platform = small_platform();
     config.container_bytes = 64 * 1024;  // Tiny containers: seal often.
     config.nic.hash_batch = 8;
-    config.compress_lanes = 1;
-    config.nic.hash_lanes = 1;
+    config.lanes = 1;
     core::FidrSystem system(config);
 
     workload::WorkloadSpec spec;

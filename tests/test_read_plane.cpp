@@ -1,6 +1,6 @@
-// Batched read plane (core/read_pipeline + cache/chunk_cache): batch
+// Batched read plane (FidrSystem::read_batch + cache/chunk_cache): batch
 // results must match serial reads byte-for-byte, every ledger charge
-// must be identical across read_lanes in {1, 2, 4} and auto, the chunk
+// must be identical across lanes in {1, 2, 4} and auto, the chunk
 // cache must be a pure optimization (same payloads, fewer SSD
 // fetches), compaction must invalidate stale cache entries, and an
 // injected device error inside a batch must fail only its own slot.
@@ -36,13 +36,11 @@ small_platform()
 }
 
 core::FidrConfig
-read_plane_config(std::size_t read_lanes, std::uint64_t cache_bytes)
+read_plane_config(std::size_t lanes, std::uint64_t cache_bytes)
 {
     core::FidrConfig config;
     config.platform = small_platform();
-    config.nic.hash_lanes = 1;
-    config.compress_lanes = 1;
-    config.read_lanes = read_lanes;
+    config.lanes = lanes;
     config.chunk_cache_bytes = cache_bytes;
     return config;
 }
@@ -170,10 +168,10 @@ run_read_config(core::FidrConfig config, const Trace &trace)
 }
 
 ReadOutcome
-run_read_trace(std::size_t read_lanes, std::uint64_t cache_bytes,
+run_read_trace(std::size_t lanes, std::uint64_t cache_bytes,
                const Trace &trace)
 {
-    return run_read_config(read_plane_config(read_lanes, cache_bytes),
+    return run_read_config(read_plane_config(lanes, cache_bytes),
                            trace);
 }
 
@@ -208,10 +206,10 @@ expect_same_outcome(const ReadOutcome &a, const ReadOutcome &b)
 
 TEST(ReadPlane, BillingIdenticalAcrossLaneCounts)
 {
-    // The determinism contract of read_pipeline.h: lane counts change
+    // The determinism contract of FidrSystem::ReadJob: lane counts change
     // wall-clock only.  Payloads, every host-DRAM ledger row, CPU
     // billing, per-SSD link bytes, fetch counts and cache hit counts
-    // must be bit-identical for read_lanes in {1, 2, 4, auto} — with
+    // must be bit-identical for lanes in {1, 2, 4, auto} — with
     // the chunk cache both off and on.
     const Trace trace = make_trace(500);
     for (const std::uint64_t cache_bytes :
@@ -230,7 +228,7 @@ TEST(ReadPlane, BillingIdenticalAcrossLanesAndTierConfigs)
 {
     // The two-tier cache keeps the determinism contract: for every
     // tier configuration (one-tier, two-tier, two-tier + spill)
-    // payloads and ledgers are bit-identical across read_lanes in
+    // payloads and ledgers are bit-identical across lanes in
     // {1, 2, 4, auto} — and payloads are identical across the
     // configurations too (tiering is a pure optimization).
     // The small budget forces demotions, warm hits and (in the spill
@@ -442,7 +440,7 @@ run_golden_workload(const core::FidrConfig &config)
 
 // Golden pin of the read plane: for each tier configuration, the
 // digests of payloads, ledgers and read-plane counters are fixed, and
-// identical at read_lanes 1 and 4.  A refactor of the chunk cache or
+// identical at lanes 1 and 4.  A refactor of the chunk cache or
 // of the read jobs must leave every digest where it is.
 TEST(ReadPlaneGolden, DigestsArePinnedPerTierConfig)
 {

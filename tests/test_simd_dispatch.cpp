@@ -262,16 +262,15 @@ TEST(SimdDispatch, NicHashBufferedIdenticalAcrossTargetsAndLanes)
     for (const Target target : targets_to_test()) {
         for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
             ScopedTarget scope(target);
-            nic::FidrNicConfig config;
-            config.hash_lanes = lanes;
-            nic::FidrNic nic(config);
+            ThreadPool pool(lanes);
+            nic::FidrNic nic;
             for (Lba lba = 0; lba < 37; ++lba) {
                 Buffer chunk = workload::make_chunk_content(
                     lba % 11, 0.05 * static_cast<double>(lba % 9));
                 ASSERT_TRUE(
                     nic.buffer_write(lba, std::move(chunk)).is_ok());
             }
-            const std::vector<Digest> digests = nic.hash_buffered();
+            const std::vector<Digest> digests = nic.hash_buffered(&pool);
             if (reference.empty()) {
                 reference = digests;
                 continue;

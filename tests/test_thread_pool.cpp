@@ -1,6 +1,8 @@
 // ThreadPool: shard coverage, exception propagation, reuse after a
-// drained run, and shutdown — the properties the parallel data plane
-// (NIC hash lanes, compression lanes) relies on.
+// drained run, nested and starved fork-joins, and shutdown — the
+// properties the parallel data plane (one pool per FidrSystem serving
+// NIC hashing, pipeline hash tasks, compression and read lanes)
+// relies on.
 
 #include <algorithm>
 #include <atomic>
@@ -102,39 +104,154 @@ TEST(ThreadPool, SingleWorkerRunsInline)
     EXPECT_EQ(seen, caller);
 }
 
+using Shard = std::pair<std::size_t, std::size_t>;
+
+/** 10 indices over 4 workers: 3, 3, 2, 2 — first r shards one larger. */
+void
+expect_ten_over_four(std::vector<Shard> shards)
+{
+    std::sort(shards.begin(), shards.end());
+    ASSERT_EQ(shards.size(), 4u);
+    EXPECT_EQ(shards[0], (Shard{0, 3}));
+    EXPECT_EQ(shards[1], (Shard{3, 6}));
+    EXPECT_EQ(shards[2], (Shard{6, 8}));
+    EXPECT_EQ(shards[3], (Shard{8, 10}));
+}
+
 TEST(ThreadPool, SingleLaneHostKeepsShardBoundaries)
 {
-    // The one-lane fast path must produce the exact same shard tiling
-    // as pooled execution (per-shard tracing and shard-local state
-    // depend on it), and on a genuinely single-lane host the shards
-    // must run inline on the caller.
+    // Whichever thread claims a shard, the tiling is a pure function
+    // of (n, workers()): per-shard tracing and shard-local state
+    // depend on it.
     ThreadPool pool(4);
+    std::mutex mu;
+    std::vector<Shard> shards;
+    pool.parallel_for(10, [&](std::size_t begin, std::size_t end) {
+        std::lock_guard<std::mutex> lock(mu);
+        shards.emplace_back(begin, end);
+    });
+    expect_ten_over_four(shards);
+}
+
+/** Count-down latch plus a release gate for blocking pool workers. */
+class Gate {
+  public:
+    void
+    arrive()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++arrived_;
+        cv_.notify_all();
+    }
+
+    void
+    wait_arrived(std::size_t n)
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [&] { return arrived_ >= n; });
+    }
+
+    void
+    open()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        open_ = true;
+        cv_.notify_all();
+    }
+
+    void
+    wait_open()
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [&] { return open_; });
+    }
+
+  private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    std::size_t arrived_ = 0;
+    bool open_ = false;
+};
+
+TEST(ThreadPool, ParallelForInsideSubmittedTaskCompletes)
+{
+    // A pool worker calling parallel_for on its own pool — the write
+    // pipeline's hash task hashing its batch — must not deadlock.
+    ThreadPool pool(4);
+    std::atomic<std::size_t> sum{0};
+    Gate done;
+    pool.submit([&] {
+        pool.parallel_for(100, [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i)
+                sum.fetch_add(i, std::memory_order_relaxed);
+        });
+        done.arrive();
+    });
+    done.wait_arrived(1);
+    EXPECT_EQ(sum.load(), 100u * 99u / 2);
+}
+
+TEST(ThreadPool, NestedParallelForCompletesWithEveryWorkerBusy)
+{
+    // Every worker runs a task that calls parallel_for; no worker is
+    // left to run a helper, so each caller must run all its shards.
+    constexpr std::size_t kWorkers = 4;
+    ThreadPool pool(kWorkers);
+    Gate started;
+    Gate done;
+    std::vector<std::atomic<std::size_t>> sums(kWorkers);
+    for (std::size_t t = 0; t < kWorkers; ++t) {
+        pool.submit([&, t] {
+            // Hold every worker until all of them are inside a task.
+            started.arrive();
+            started.wait_arrived(kWorkers);
+            pool.parallel_for(10, [&](std::size_t begin, std::size_t end) {
+                for (std::size_t i = begin; i < end; ++i)
+                    sums[t].fetch_add(i + 1, std::memory_order_relaxed);
+            });
+            done.arrive();
+        });
+    }
+    done.wait_arrived(kWorkers);
+    for (std::size_t t = 0; t < kWorkers; ++t)
+        EXPECT_EQ(sums[t].load(), 55u) << "task " << t;
+}
+
+TEST(ThreadPool, CallerRunsEveryShardWhileWorkersAreBlocked)
+{
+    // The executor's compress call must never wait behind queued work:
+    // with every worker blocked in a submitted task, the caller claims
+    // and runs all the shards itself, with the usual tiling.
+    constexpr std::size_t kWorkers = 4;
+    ThreadPool pool(kWorkers);
+    Gate blocked;
+    for (std::size_t t = 0; t < kWorkers; ++t) {
+        pool.submit([&] {
+            blocked.arrive();
+            blocked.wait_open();
+        });
+    }
+    blocked.wait_arrived(kWorkers);
+
     const auto caller = std::this_thread::get_id();
     std::mutex mu;
-    std::vector<std::pair<std::size_t, std::size_t>> shards;
+    std::vector<Shard> shards;
     std::vector<std::thread::id> ids;
     pool.parallel_for(10, [&](std::size_t begin, std::size_t end) {
         std::lock_guard<std::mutex> lock(mu);
         shards.emplace_back(begin, end);
         ids.push_back(std::this_thread::get_id());
     });
-    std::sort(shards.begin(), shards.end());
-    ASSERT_EQ(shards.size(), 4u);
-    // 10 over 4 lanes: 3, 3, 2, 2 — first r shards one index larger.
-    EXPECT_EQ(shards[0], (std::pair<std::size_t, std::size_t>{0, 3}));
-    EXPECT_EQ(shards[1], (std::pair<std::size_t, std::size_t>{3, 6}));
-    EXPECT_EQ(shards[2], (std::pair<std::size_t, std::size_t>{6, 8}));
-    EXPECT_EQ(shards[3], (std::pair<std::size_t, std::size_t>{8, 10}));
-    if (ThreadPool::hardware_lanes() == 1) {
-        for (const std::thread::id id : ids)
-            EXPECT_EQ(id, caller);
-    }
+    blocked.open();
+    expect_ten_over_four(shards);
+    for (const std::thread::id id : ids)
+        EXPECT_EQ(id, caller);
 }
 
 TEST(ThreadPool, ExceptionStillRunsRemainingShards)
 {
-    // Both execution paths (pooled and single-lane inline) promise the
-    // same contract: a throwing shard does not cancel its siblings.
+    // A throwing shard does not cancel its siblings, whether a helper
+    // or the caller claimed them.
     ThreadPool pool(4);
     std::atomic<int> ran{0};
     EXPECT_THROW(
