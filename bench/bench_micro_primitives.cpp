@@ -313,33 +313,6 @@ BM_FreeListPushPop(benchmark::State &state)
 BENCHMARK(BM_FreeListPushPop)->Arg(1 << 6)->Arg(1 << 12)->Arg(1 << 18);
 
 void
-BM_TableCacheAccessSharded(benchmark::State &state)
-{
-    // Same mix as BM_TableCacheAccess, cache split into N shards
-    // (arg); measures the single-caller overhead of the per-shard
-    // locking that buys the multi-caller concurrency headroom.
-    const auto shards = static_cast<std::size_t>(state.range(0));
-    ssd::SsdConfig config;
-    config.capacity_bytes = 1ull * kGiB;
-    ssd::Ssd ssd(config);
-    tables::HashPbnTable table(ssd, 1 << 15);
-    std::vector<std::unique_ptr<cache::CacheIndex>> subs;
-    for (std::size_t s = 0; s < shards; ++s)
-        subs.push_back(std::make_unique<cache::BTreeCacheIndex>());
-    cache::ShardedCacheIndex index(std::move(subs));
-    cache::TableCache tc(table, index, 1024,
-                         cache::EvictionPolicy::kLru, shards);
-    Rng rng(12);
-    for (auto _ : state) {
-        const BucketIndex bucket =
-            rng.next_bool(0.8) ? rng.next_below(900)
-                               : rng.next_below(1 << 15);
-        benchmark::DoNotOptimize(tc.access(bucket));
-    }
-}
-BENCHMARK(BM_TableCacheAccessSharded)->Arg(1)->Arg(4)->Arg(16);
-
-void
 BM_TracerRecord(benchmark::State &state)
 {
     // The obs hot path: one tracepoint into the per-thread ring.

@@ -3,7 +3,8 @@
 #   1. full build + ctest with tracepoints + failpoints compiled in;
 #   2. the same with -DFIDR_TRACE=OFF -DFIDR_FAULT=OFF, proving both
 #      no-op builds (failpoint sites fold to constants);
-#   3. the parallel data plane and obs registries under TSan;
+#   3. the parallel data plane, obs registries and both caches under
+#      TSan;
 #   4. fault stage: the crash-consistency sweep, the failpoint /
 #      degraded-mode tests, and the journal corpus under ASan+UBSan
 #      (ctest labels: fault = failpoint/journal/hwtree suites, crash =
@@ -33,8 +34,9 @@
 #      and the cross-target boundary/digest fuzz suite under
 #      ASan+UBSan so lane arithmetic in the new kernels is checked
 #      for UB, not just for identical output; the LZ codec tests, the
-#      decoder fuzz suite, the chunk-cache unit tests and the read
-#      plane tests run under ASan+UBSan as well;
+#      decoder fuzz suite, the container-log header/superblock
+#      mutation suite, the chunk-cache unit tests and the read plane
+#      tests run under ASan+UBSan as well;
 #  10. cluster scale-out smoke: bench_cluster_scaling --smoke gates on
 #      cluster-of-1 bit-identity with a bare FidrSystem, >= 3x 4-node
 #      aggregate write throughput, and fingerprint-routed dedup within
@@ -80,16 +82,22 @@ cmake -B "$TSAN_DIR" -S . -DFIDR_SANITIZE=thread \
     -DFIDR_BUILD_TOOLS=OFF
 cmake --build "$TSAN_DIR" -j "$JOBS" \
     --target test_thread_pool test_parallel_determinism test_obs \
-    test_pipeline_determinism test_read_plane test_gc test_cluster
+    test_pipeline_determinism test_read_plane test_gc test_cluster \
+    test_cache test_chunk_cache_tiers
 timeout 900 "$TSAN_DIR"/tests/test_thread_pool
 timeout 900 "$TSAN_DIR"/tests/test_parallel_determinism
 timeout 900 "$TSAN_DIR"/tests/test_obs
-# Write-path pipelining at depth 4: bit-identity across depths/shards
-# and the power-cut-with-batches-in-flight crash sweep, raced by TSan.
+# Write-path pipelining at depth 4: bit-identity across depths and the
+# power-cut-with-batches-in-flight crash sweep, raced by TSan.
 timeout 900 "$TSAN_DIR"/tests/test_pipeline_determinism
+# The one-mutex caches: table-cache hits + mark_dirty from several
+# threads against a stats reader, and chunk-cache lookup/fill raced
+# against rekey/invalidate_container with the spill ring on.
+timeout 900 "$TSAN_DIR"/tests/test_cache
+timeout 900 "$TSAN_DIR"/tests/test_chunk_cache_tiers
 # Read-plane fan-out: concurrent fetch+decompress lanes against the
-# sharded two-tier chunk cache (hot/warm/spill lookups and fills) and
-# atomic SSD read counters, raced by TSan.
+# two-tier chunk cache (hot/warm/spill lookups and fills) and atomic
+# SSD read counters, raced by TSan.
 timeout 900 "$TSAN_DIR"/tests/test_read_plane
 # Incremental GC on the commit sequencer raced against in-flight write
 # batches and concurrent read lanes (relocation, cache rekey across
@@ -126,16 +134,22 @@ echo "== tier-1: LZ codec and decoder fuzz under ASan/UBSan =="
 # The LZ kernel does unaligned word loads and pattern-doubling copies;
 # the golden-digest, overlapping-match grid and reference-decoder
 # differential tests, plus every decoder fuzz suite, run sanitized.
+# The container-log decoders (sealed-slot commit headers and the A/B
+# superblock) get structured mutations: every byte flipped, every
+# field at 0 and at its maximum, torn tails and seeded bit flips.
 # UBSan halts on the first report so a finding fails the stage.
-cmake --build "$ASAN_DIR" -j "$JOBS" --target test_compress test_fuzz
+cmake --build "$ASAN_DIR" -j "$JOBS" \
+    --target test_compress test_fuzz test_container_mutation
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     timeout 900 "$ASAN_DIR"/tests/test_compress
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     timeout 900 "$ASAN_DIR"/tests/test_fuzz
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    timeout 900 "$ASAN_DIR"/tests/test_container_mutation
 
 echo "== tier-1: chunk cache and read plane under ASan/UBSan =="
 # The chunk cache's single fill path splices std::list nodes between
-# the hot and warm tiers and unlinks entries across shards on rekey;
+# the hot and warm tiers and moves entries between keys on rekey;
 # the read plane's one job path falls back from a failed spill read to
 # the container fetch.  The cache unit tests, the golden read-plane
 # digests and the spill-fallback test run sanitized.
@@ -202,7 +216,7 @@ check_pair "exemplar-armed windowed observe" \
 
 echo "== tier-1: write-path pipelining smoke (depth sweep) =="
 # bench_pipeline_depth asserts its own gates: reduction results
-# bit-identical across depth x shards; at depth 4 the pipeline
+# bit-identical across depths; at depth 4 the pipeline
 # genuinely held >=2 batches in flight (queue-depth occupancy — the
 # right check on a 1-core host, where stages timeshare); on
 # multi-lane hosts additionally measured hash||execute overlap > 0

@@ -7,12 +7,12 @@ namespace fidr::cache {
 namespace {
 
 /** Clamp band and starting point for the adaptive hot-tier byte
- *  target, as fractions of each shard's budget. */
+ *  target, as fractions of the budget. */
 constexpr double kHotFractionMin = 0.10;
 constexpr double kHotFractionMax = 0.90;
 constexpr double kHotFractionInitial = 0.50;
 
-/** Ghost-hit adaptation step, as a fraction of the shard budget.  The
+/** Ghost-hit adaptation step, as a fraction of the budget.  The
  *  step is asymmetric: shrink signals (ghost-warm hits — a bigger warm
  *  tier would have kept the image in DRAM) move the target by the full
  *  step, grow signals (ghost-hot hits — a bigger hot tier would have
@@ -23,7 +23,7 @@ constexpr double kHotFractionInitial = 0.50;
  *  tier. */
 constexpr double kAdaptStepFraction = 0.02;
 
-/** Bounded ghost-list length (keys) per shard per list. */
+/** Bounded ghost-list length (keys) per list. */
 constexpr std::size_t kGhostEntries = 1024;
 
 /** Hot-tier demotion batch: once a fill pushes the hot tier over its
@@ -72,34 +72,21 @@ ChunkReadCache::GhostList::clear()
 }
 
 ChunkReadCache::ChunkReadCache(std::uint64_t capacity_bytes,
-                               std::size_t shards, bool two_tier,
-                               SpillBackend *spill)
+                               bool two_tier, SpillBackend *spill)
     : capacity_bytes_(capacity_bytes), two_tier_(two_tier),
       spill_backend_(spill)
 {
-    FIDR_CHECK(shards > 0 && (shards & (shards - 1)) == 0);
-    shard_mask_ = shards - 1;
-    shard_capacity_ = capacity_bytes / shards;
     if (two_tier_ && spill_backend_)
         spill_capacity_ = spill_backend_->capacity_bytes();
     adapt_step_ = static_cast<std::uint64_t>(
-        static_cast<double>(shard_capacity_) * kAdaptStepFraction);
-    const auto initial_target = static_cast<std::uint64_t>(
-        static_cast<double>(shard_capacity_) * kHotFractionInitial);
-    shards_.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-        auto shard = std::make_unique<Shard>();
-        shard->hot_target = two_tier_ ? initial_target : shard_capacity_;
-        shard->ghost_hot.cap = two_tier_ ? kGhostEntries : 0;
-        shard->ghost_warm.cap = two_tier_ ? kGhostEntries : 0;
-        shards_.push_back(std::move(shard));
-    }
-}
-
-std::size_t
-ChunkReadCache::shard_of(const ChunkKey &key) const
-{
-    return ChunkKeyHash{}(key) & shard_mask_;
+        static_cast<double>(capacity_bytes_) * kAdaptStepFraction);
+    hot_target_ = two_tier_
+                      ? static_cast<std::uint64_t>(
+                            static_cast<double>(capacity_bytes_) *
+                            kHotFractionInitial)
+                      : capacity_bytes_;
+    ghost_hot_.cap = two_tier_ ? kGhostEntries : 0;
+    ghost_warm_.cap = two_tier_ ? kGhostEntries : 0;
 }
 
 std::uint64_t
@@ -118,49 +105,45 @@ ChunkReadCache::billed_warm(const Entry &entry) const
 }
 
 void
-ChunkReadCache::bump_hot_target(Shard &shard, bool grow)
+ChunkReadCache::bump_hot_target(bool grow)
 {
     const auto lo = static_cast<std::uint64_t>(
-        static_cast<double>(shard_capacity_) * kHotFractionMin);
+        static_cast<double>(capacity_bytes_) * kHotFractionMin);
     const auto hi = static_cast<std::uint64_t>(
-        static_cast<double>(shard_capacity_) * kHotFractionMax);
+        static_cast<double>(capacity_bytes_) * kHotFractionMax);
     if (grow)
         // Quarter step: hot bytes are ~3-4x as expensive per resident
         // entry as warm bytes (see kAdaptStepFraction).
-        shard.hot_target =
-            std::min(hi, shard.hot_target + adapt_step_ / 4);
+        hot_target_ = std::min(hi, hot_target_ + adapt_step_ / 4);
     else
-        shard.hot_target = std::max(
-            lo, shard.hot_target > adapt_step_
-                    ? shard.hot_target - adapt_step_
-                    : 0);
+        hot_target_ = std::max(
+            lo, hot_target_ > adapt_step_ ? hot_target_ - adapt_step_ : 0);
 }
 
 TierLookup
 ChunkReadCache::lookup(const ChunkKey &key)
 {
-    Shard &shard = shard_for(key);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
         Entry &entry = *it->second.it;
         if (it->second.hot) {
-            ++shard.stats.hits;
-            ++shard.stats.hot.hits;
-            shard.hot.splice(shard.hot.begin(), shard.hot, it->second.it);
+            ++stats_.hits;
+            ++stats_.hot.hits;
+            hot_.splice(hot_.begin(), hot_, it->second.it);
             TierLookup out;
             out.tier = CacheTier::kHot;
             out.raw = entry.raw;
             return out;
         }
-        ++shard.stats.hits;
-        ++shard.stats.warm.hits;
-        shard.warm.splice(shard.warm.begin(), shard.warm, it->second.it);
+        ++stats_.hits;
+        ++stats_.warm.hits;
+        warm_.splice(warm_.begin(), warm_, it->second.it);
         // A warm hit still inside the hot ghost: a bigger hot tier
         // would have skipped this decompress.  Grow the hot target.
-        if (shard.ghost_hot.take(key)) {
-            ++shard.stats.ghost_hot_hits;
-            bump_hot_target(shard, /*grow=*/true);
+        if (ghost_hot_.take(key)) {
+            ++stats_.ghost_hot_hits;
+            bump_hot_target(/*grow=*/true);
         }
         TierLookup out;
         out.tier = CacheTier::kWarm;
@@ -168,18 +151,17 @@ ChunkReadCache::lookup(const ChunkKey &key)
         return out;
     }
 
-    // Not in DRAM: probe the spill index (shard -> spill lock order).
+    // Not in DRAM: probe the spill index.
     if (spill_enabled()) {
-        const std::lock_guard<std::mutex> spill_lock(spill_.mutex);
         const auto spilled = spill_.index.find(key);
         if (spilled != spill_.index.end()) {
-            ++shard.stats.hits;
-            ++shard.stats.spill.hits;
+            ++stats_.hits;
+            ++stats_.spill.hits;
             // The image fell out of DRAM entirely: a bigger warm tier
             // would have held it.  Shrink the hot target.
-            if (shard.ghost_warm.take(key))
-                ++shard.stats.ghost_warm_hits;
-            bump_hot_target(shard, /*grow=*/false);
+            if (ghost_warm_.take(key))
+                ++stats_.ghost_warm_hits;
+            bump_hot_target(/*grow=*/false);
             TierLookup out;
             out.tier = CacheTier::kSpill;
             out.spill = spilled->second;
@@ -187,10 +169,10 @@ ChunkReadCache::lookup(const ChunkKey &key)
         }
     }
 
-    ++shard.stats.misses;
-    if (shard.ghost_warm.take(key)) {
-        ++shard.stats.ghost_warm_hits;
-        bump_hot_target(shard, /*grow=*/false);
+    ++stats_.misses;
+    if (ghost_warm_.take(key)) {
+        ++stats_.ghost_warm_hits;
+        bump_hot_target(/*grow=*/false);
     }
     return {};
 }
@@ -198,57 +180,49 @@ ChunkReadCache::lookup(const ChunkKey &key)
 CacheTier
 ChunkReadCache::peek(const ChunkKey &key) const
 {
-    const Shard &shard = *shards_[shard_of(key)];
-    {
-        const std::lock_guard<std::mutex> lock(shard.mutex);
-        const auto it = shard.index.find(key);
-        if (it != shard.index.end())
-            return it->second.hot ? CacheTier::kHot : CacheTier::kWarm;
-    }
-    if (spill_enabled()) {
-        const std::lock_guard<std::mutex> spill_lock(spill_.mutex);
-        if (spill_.index.contains(key))
-            return CacheTier::kSpill;
-    }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(key);
+    if (it != index_.end())
+        return it->second.hot ? CacheTier::kHot : CacheTier::kWarm;
+    if (spill_enabled() && spill_.index.contains(key))
+        return CacheTier::kSpill;
     return CacheTier::kNone;
 }
 
 void
-ChunkReadCache::demote_tail(Shard &shard)
+ChunkReadCache::demote_tail()
 {
-    Entry &victim = shard.hot.back();
-    shard.hot_bytes -= billed_hot(victim);
+    Entry &victim = hot_.back();
+    hot_bytes_ -= billed_hot(victim);
     if (!two_tier_ || victim.compressed.empty()) {
         // Nothing to demote to: one-tier mode (or an entry without a
         // compressed image) drops straight out of DRAM.
-        shard.index.erase(victim.key);
-        shard.hot.pop_back();
-        ++shard.stats.evictions;
-        ++shard.stats.hot.evictions;
+        index_.erase(victim.key);
+        hot_.pop_back();
+        ++stats_.evictions;
+        ++stats_.hot.evictions;
         return;
     }
     victim.raw = Buffer();  // Free the decompressed bytes.
-    shard.ghost_hot.push(victim.key);
-    ++shard.stats.demotions;
-    ++shard.stats.hot.evictions;
-    ++shard.stats.warm.insertions;
-    shard.warm_bytes += billed_warm(victim);
-    auto slot = shard.index.find(victim.key);
+    ghost_hot_.push(victim.key);
+    ++stats_.demotions;
+    ++stats_.hot.evictions;
+    ++stats_.warm.insertions;
+    warm_bytes_ += billed_warm(victim);
+    auto slot = index_.find(victim.key);
     // Demoted entry becomes the warm tier's MRU (ARC-style).
-    shard.warm.splice(shard.warm.begin(), shard.hot,
-                      std::prev(shard.hot.end()));
+    warm_.splice(warm_.begin(), hot_, std::prev(hot_.end()));
     slot->second.hot = false;
-    slot->second.it = shard.warm.begin();
+    slot->second.it = warm_.begin();
 }
 
 void
-ChunkReadCache::spill_drop_overlaps(Shard &shard, std::uint64_t offset,
+ChunkReadCache::spill_drop_overlaps(std::uint64_t offset,
                                     std::uint64_t size)
 {
     // Entries whose bytes the ring is about to overwrite leave the
     // index.  by_offset is ordered, so scan from the first occupant
-    // that could overlap.  (Counted into the evicting shard's stats;
-    // aggregate totals are exact, per-shard attribution approximate.)
+    // that could overlap.
     auto it = spill_.by_offset.lower_bound(offset);
     if (it != spill_.by_offset.begin()) {
         const auto prev = std::prev(it);
@@ -259,30 +233,29 @@ ChunkReadCache::spill_drop_overlaps(Shard &shard, std::uint64_t offset,
         spill_.used_bytes -= it->second.size;
         spill_.index.erase(it->second.key);
         it = spill_.by_offset.erase(it);
-        ++shard.stats.spill_overwritten;
-        ++shard.stats.spill.evictions;
+        ++stats_.spill_overwritten;
+        ++stats_.spill.evictions;
     }
 }
 
 void
-ChunkReadCache::spill_out(Shard &shard, Entry &&entry)
+ChunkReadCache::spill_out(Entry &&entry)
 {
     const std::uint64_t size = entry.compressed.size();
     if (size == 0 || size > spill_capacity_)
         return;
-    const std::lock_guard<std::mutex> spill_lock(spill_.mutex);
     // Sequential ring: wrap when the image won't fit before the end.
     // The tail gap left by a wrap keeps its occupants readable until
     // a later lap actually overwrites them.
     if (spill_.cursor + size > spill_capacity_)
         spill_.cursor = 0;
     const std::uint64_t offset = spill_.cursor;
-    spill_drop_overlaps(shard, offset, size);
+    spill_drop_overlaps(offset, size);
     // A re-spilled key must not leave a stale occupant elsewhere.
     spill_erase(entry.key);
     const Status written = spill_backend_->write(offset, entry.compressed);
     if (!written.is_ok()) {
-        ++shard.stats.spill_write_failures;
+        ++stats_.spill_write_failures;
         return;
     }
     spill_.cursor = offset + size;
@@ -290,72 +263,71 @@ ChunkReadCache::spill_out(Shard &shard, Entry &&entry)
     ref.offset = offset;
     ref.size = static_cast<std::uint32_t>(size);
     spill_.index.emplace(entry.key, ref);
-    spill_.by_offset[offset] =
-        SpillRing::Occupant{entry.key, ref.size};
+    spill_.by_offset[offset] = SpillRing::Occupant{entry.key, ref.size};
     spill_.used_bytes += size;
-    ++shard.stats.spill_writes;
-    ++shard.stats.spill.insertions;
+    ++stats_.spill_writes;
+    ++stats_.spill.insertions;
 }
 
 void
-ChunkReadCache::evict_warm_tail(Shard &shard)
+ChunkReadCache::evict_warm_tail()
 {
-    Entry victim = std::move(shard.warm.back());
-    shard.warm_bytes -= victim.compressed.size();
-    shard.index.erase(victim.key);
-    shard.warm.pop_back();
-    ++shard.stats.evictions;
-    ++shard.stats.warm.evictions;
-    shard.ghost_warm.push(victim.key);
+    Entry victim = std::move(warm_.back());
+    warm_bytes_ -= victim.compressed.size();
+    index_.erase(victim.key);
+    warm_.pop_back();
+    ++stats_.evictions;
+    ++stats_.warm.evictions;
+    ghost_warm_.push(victim.key);
     if (spill_enabled())
-        spill_out(shard, std::move(victim));
+        spill_out(std::move(victim));
 }
 
 void
-ChunkReadCache::rebalance(Shard &shard)
+ChunkReadCache::rebalance()
 {
     if (two_tier_) {
         std::size_t demoted = 0;
-        while (shard.hot_bytes > shard.hot_target && !shard.hot.empty()) {
-            demote_tail(shard);
+        while (hot_bytes_ > hot_target_ && !hot_.empty()) {
+            demote_tail();
             ++demoted;
         }
         // Batched demotion: once the target forced a demotion, demote
         // up to kDemoteBatch tail entries in the same pass.  The slack
-        // below hot_target means a near-fit working set amortizes the
+        // below hot_target_ means a near-fit working set amortizes the
         // demote/re-promote churn over the next kDemoteBatch fills
         // instead of paying it on every one.  Never demotes the MRU
         // entry (the fill that triggered the pass).
         if (demoted > 0) {
-            while (demoted < kDemoteBatch && shard.hot.size() > 1) {
-                demote_tail(shard);
+            while (demoted < kDemoteBatch && hot_.size() > 1) {
+                demote_tail();
                 ++demoted;
             }
-            ++shard.stats.demote_passes;
+            ++stats_.demote_passes;
         }
     }
-    while (shard.hot_bytes + shard.warm_bytes > shard_capacity_) {
-        if (!shard.warm.empty())
-            evict_warm_tail(shard);
-        else if (!shard.hot.empty())
-            demote_tail(shard);  // One-tier mode: drops outright.
+    while (hot_bytes_ + warm_bytes_ > capacity_bytes_) {
+        if (!warm_.empty())
+            evict_warm_tail();
+        else if (!hot_.empty())
+            demote_tail();  // One-tier mode: drops outright.
         else
             break;
     }
 }
 
 ChunkReadCache::Entry
-ChunkReadCache::unlink(Shard &shard, Shard::Index::iterator slot)
+ChunkReadCache::unlink(Index::iterator slot)
 {
     Entry entry = std::move(*slot->second.it);
     if (slot->second.hot) {
-        shard.hot_bytes -= billed_hot(entry);
-        shard.hot.erase(slot->second.it);
+        hot_bytes_ -= billed_hot(entry);
+        hot_.erase(slot->second.it);
     } else {
-        shard.warm_bytes -= billed_warm(entry);
-        shard.warm.erase(slot->second.it);
+        warm_bytes_ -= billed_warm(entry);
+        warm_.erase(slot->second.it);
     }
-    shard.index.erase(slot);
+    index_.erase(slot);
     return entry;
 }
 
@@ -377,64 +349,55 @@ void
 ChunkReadCache::fill(const ChunkKey &key, const Buffer &raw,
                      const Buffer &compressed)
 {
-    if (raw.size() > shard_capacity_)
-        return;  // Would evict the whole shard for one entry.
-    Shard &shard = shard_for(key);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end() && it->second.hot) {
+    if (raw.size() > capacity_bytes_)
+        return;  // Would evict the whole cache for one entry.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(key);
+    if (it != index_.end() && it->second.hot) {
         // Already hot: the image is immutable, only recency moves.
-        shard.hot.splice(shard.hot.begin(), shard.hot, it->second.it);
-    } else if (it != shard.index.end()) {
+        hot_.splice(hot_.begin(), hot_, it->second.it);
+    } else if (it != index_.end()) {
         // Warm: re-attach the payload and move to the hot MRU slot.
-        shard.warm_bytes -= billed_warm(*it->second.it);
+        warm_bytes_ -= billed_warm(*it->second.it);
         it->second.it->raw = raw;
-        shard.hot.splice(shard.hot.begin(), shard.warm, it->second.it);
+        hot_.splice(hot_.begin(), warm_, it->second.it);
         it->second.hot = true;
-        shard.hot_bytes += billed_hot(*it->second.it);
-        ++shard.stats.promotions;
-        ++shard.stats.hot.insertions;
+        hot_bytes_ += billed_hot(*it->second.it);
+        ++stats_.promotions;
+        ++stats_.hot.insertions;
     } else {
         // Not in DRAM: a spilled image re-enters and leaves the ring's
         // index (a promotion); anything else is a plain miss fill.
-        bool from_spill = false;
-        if (spill_enabled()) {
-            const std::lock_guard<std::mutex> spill_lock(spill_.mutex);
-            from_spill = spill_erase(key);
-        }
+        const bool from_spill = spill_enabled() && spill_erase(key);
         Entry entry;
         entry.key = key;
         entry.raw = raw;
         entry.compressed = two_tier_ ? compressed : Buffer();
-        shard.hot_bytes += billed_hot(entry);
-        shard.hot.push_front(std::move(entry));
-        shard.index.emplace(key, Shard::Slot{true, shard.hot.begin()});
-        ++(from_spill ? shard.stats.promotions : shard.stats.insertions);
-        ++shard.stats.hot.insertions;
+        hot_bytes_ += billed_hot(entry);
+        hot_.push_front(std::move(entry));
+        index_.emplace(key, Slot{true, hot_.begin()});
+        ++(from_spill ? stats_.promotions : stats_.insertions);
+        ++stats_.hot.insertions;
     }
-    rebalance(shard);
+    rebalance();
 }
 
 void
 ChunkReadCache::invalidate(const ChunkKey &key)
 {
-    Shard &shard = shard_for(key);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
+    const std::lock_guard<std::mutex> lock(mutex_);
     bool dropped = false;
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-        unlink(shard, it);
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
+        unlink(it);
         dropped = true;
     }
-    if (spill_enabled()) {
-        // Still under the shard lock: the DRAM and spill copies leave
-        // together, so no probe can see the spilled image outlive an
-        // invalidation of its PBN.
-        const std::lock_guard<std::mutex> spill_lock(spill_.mutex);
+    // The DRAM and spill copies leave together, so no probe can see
+    // the spilled image outlive an invalidation of its PBN.
+    if (spill_enabled())
         dropped = spill_erase(key) || dropped;
-    }
     if (dropped)
-        ++shard.stats.invalidations;
+        ++stats_.invalidations;
 }
 
 bool
@@ -442,55 +405,46 @@ ChunkReadCache::rekey(const ChunkKey &from, const ChunkKey &to)
 {
     if (from == to)
         return false;
-    Shard &src = shard_for(from);
-    Shard &dst = shard_for(to);
-    // Both shard locks (one when the keys co-shard) held together for
-    // the whole move: no interleaved probe can miss the entry under
-    // both keys or find it under the retired one.
-    std::unique_lock<std::mutex> src_lock(src.mutex, std::defer_lock);
-    std::unique_lock<std::mutex> dst_lock(dst.mutex, std::defer_lock);
-    if (&src == &dst)
-        src_lock.lock();
-    else
-        std::lock(src_lock, dst_lock);
+    // One critical section for the whole move: no interleaved probe
+    // can miss the entry under both keys or find it under the retired
+    // one.
+    const std::lock_guard<std::mutex> lock(mutex_);
 
     bool moved = false;
-    const auto it = src.index.find(from);
-    if (it != src.index.end()) {
+    const auto it = index_.find(from);
+    if (it != index_.end()) {
         const bool was_hot = it->second.hot;
-        Entry entry = unlink(src, it);
+        Entry entry = unlink(it);
         // The old physical location is gone whatever happens next, so
         // this is an invalidation first and a move second.
-        ++src.stats.invalidations;
-        ++src.stats.rekeys;
+        ++stats_.invalidations;
+        ++stats_.rekeys;
 
         entry.key = to;
         // Displace any stale resident under the destination key (the
         // relocated chunk's image is the authoritative one).
-        const auto existing = dst.index.find(to);
-        if (existing != dst.index.end()) {
-            unlink(dst, existing);
-            ++dst.stats.invalidations;
+        const auto existing = index_.find(to);
+        if (existing != index_.end()) {
+            unlink(existing);
+            ++stats_.invalidations;
         }
         if (was_hot) {
-            dst.hot_bytes += billed_hot(entry);
-            dst.hot.push_front(std::move(entry));
-            dst.index.emplace(to, Shard::Slot{true, dst.hot.begin()});
+            hot_bytes_ += billed_hot(entry);
+            hot_.push_front(std::move(entry));
+            index_.emplace(to, Slot{true, hot_.begin()});
         } else {
-            dst.warm_bytes += billed_warm(entry);
-            dst.warm.push_front(std::move(entry));
-            dst.index.emplace(to, Shard::Slot{false, dst.warm.begin()});
+            warm_bytes_ += billed_warm(entry);
+            warm_.push_front(std::move(entry));
+            index_.emplace(to, Slot{false, warm_.begin()});
         }
-        rebalance(dst);
+        rebalance();
         moved = true;
     }
 
     if (spill_enabled()) {
-        // Shard locks still held: the spill index renames in the same
-        // critical section, so the spilled image is never reachable
-        // under the retired key once rekey returns — and never
-        // unreachable while it is.
-        const std::lock_guard<std::mutex> spill_lock(spill_.mutex);
+        // The spill index renames in the same critical section, so the
+        // spilled image is never reachable under the retired key once
+        // rekey returns — and never unreachable while it is.
         const auto spilled = spill_.index.find(from);
         if (spilled != spill_.index.end()) {
             const SpillRef ref = spilled->second;
@@ -506,8 +460,8 @@ ChunkReadCache::rekey(const ChunkKey &from, const ChunkKey &to)
                     SpillRing::Occupant{to, ref.size};
             }
             if (!moved) {
-                ++src.stats.invalidations;
-                ++src.stats.rekeys;
+                ++stats_.invalidations;
+                ++stats_.rekeys;
             }
             moved = true;
         }
@@ -518,216 +472,120 @@ ChunkReadCache::rekey(const ChunkKey &from, const ChunkKey &to)
 void
 ChunkReadCache::invalidate_container(std::uint64_t container_id)
 {
-    // A container's chunks hash across shards, so every shard scans.
-    // Invalidation happens at GC-discard rate, not request rate.
-    for (const auto &shard : shards_) {
-        const std::lock_guard<std::mutex> lock(shard->mutex);
-        for (std::list<Entry> *tier : {&shard->hot, &shard->warm}) {
-            for (auto it = tier->begin(); it != tier->end();) {
-                const ChunkKey key = (it++)->key;
-                if (key.container_id != container_id)
-                    continue;
-                unlink(*shard, shard->index.find(key));
-                ++shard->stats.invalidations;
-            }
+    // Invalidation happens at GC-discard rate, not request rate, so a
+    // full scan of every tier is fine.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (std::list<Entry> *tier : {&hot_, &warm_}) {
+        for (auto it = tier->begin(); it != tier->end();) {
+            const ChunkKey key = (it++)->key;
+            if (key.container_id != container_id)
+                continue;
+            unlink(index_.find(key));
+            ++stats_.invalidations;
         }
     }
-    if (spill_enabled()) {
-        // Count per shard under the spill lock and credit the shards
-        // after releasing it: taking a shard lock while holding the
-        // spill lock would invert the shard -> spill order.
-        std::vector<std::uint64_t> dropped(shards_.size(), 0);
-        {
-            const std::lock_guard<std::mutex> spill_lock(spill_.mutex);
-            for (auto it = spill_.by_offset.begin();
-                 it != spill_.by_offset.end();) {
-                if (it->second.key.container_id != container_id) {
-                    ++it;
-                    continue;
-                }
-                spill_.used_bytes -= it->second.size;
-                spill_.index.erase(it->second.key);
-                ++dropped[shard_of(it->second.key)];
-                it = spill_.by_offset.erase(it);
-            }
+    if (!spill_enabled())
+        return;
+    for (auto it = spill_.by_offset.begin();
+         it != spill_.by_offset.end();) {
+        if (it->second.key.container_id != container_id) {
+            ++it;
+            continue;
         }
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            if (dropped[s] == 0)
-                continue;
-            const std::lock_guard<std::mutex> lock(shards_[s]->mutex);
-            shards_[s]->stats.invalidations += dropped[s];
-        }
+        spill_.used_bytes -= it->second.size;
+        spill_.index.erase(it->second.key);
+        it = spill_.by_offset.erase(it);
+        ++stats_.invalidations;
     }
 }
 
 void
 ChunkReadCache::clear()
 {
-    for (const auto &shard : shards_) {
-        const std::lock_guard<std::mutex> lock(shard->mutex);
-        shard->stats.invalidations +=
-            shard->hot.size() + shard->warm.size();
-        shard->hot.clear();
-        shard->warm.clear();
-        shard->index.clear();
-        shard->hot_bytes = 0;
-        shard->warm_bytes = 0;
-        shard->ghost_hot.clear();
-        shard->ghost_warm.clear();
-    }
-    if (spill_enabled()) {
-        const std::lock_guard<std::mutex> spill_lock(spill_.mutex);
-        // The index is host DRAM: spilled bytes are unreachable after
-        // a crash even though the flash region survives.
-        spill_.index.clear();
-        spill_.by_offset.clear();
-        spill_.cursor = 0;
-        spill_.used_bytes = 0;
-    }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    stats_.invalidations += hot_.size() + warm_.size();
+    hot_.clear();
+    warm_.clear();
+    index_.clear();
+    hot_bytes_ = 0;
+    warm_bytes_ = 0;
+    ghost_hot_.clear();
+    ghost_warm_.clear();
+    // The spill index is host DRAM: spilled bytes are unreachable after
+    // a crash even though the flash region survives.
+    spill_.index.clear();
+    spill_.by_offset.clear();
+    spill_.cursor = 0;
+    spill_.used_bytes = 0;
 }
-
-namespace {
-
-void
-merge_stats(ChunkCacheStats &out, const ChunkCacheStats &in)
-{
-    out.hits += in.hits;
-    out.misses += in.misses;
-    out.insertions += in.insertions;
-    out.evictions += in.evictions;
-    out.invalidations += in.invalidations;
-    out.rekeys += in.rekeys;
-    out.hot.hits += in.hot.hits;
-    out.hot.insertions += in.hot.insertions;
-    out.hot.evictions += in.hot.evictions;
-    out.warm.hits += in.warm.hits;
-    out.warm.insertions += in.warm.insertions;
-    out.warm.evictions += in.warm.evictions;
-    out.spill.hits += in.spill.hits;
-    out.spill.insertions += in.spill.insertions;
-    out.spill.evictions += in.spill.evictions;
-    out.demotions += in.demotions;
-    out.promotions += in.promotions;
-    out.demote_passes += in.demote_passes;
-    out.spill_writes += in.spill_writes;
-    out.spill_write_failures += in.spill_write_failures;
-    out.spill_overwritten += in.spill_overwritten;
-    out.ghost_hot_hits += in.ghost_hot_hits;
-    out.ghost_warm_hits += in.ghost_warm_hits;
-}
-
-}  // namespace
 
 ChunkCacheStats
 ChunkReadCache::stats() const
 {
-    ChunkCacheStats out;
-    for (const auto &shard : shards_) {
-        const std::lock_guard<std::mutex> lock(shard->mutex);
-        merge_stats(out, shard->stats);
-    }
-    return out;
-}
-
-ChunkCacheStats
-ChunkReadCache::shard_stats(std::size_t shard) const
-{
-    const std::lock_guard<std::mutex> lock(shards_.at(shard)->mutex);
-    return shards_.at(shard)->stats;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return stats_;
 }
 
 std::uint64_t
 ChunkReadCache::used_bytes() const
 {
-    std::uint64_t total = 0;
-    for (const auto &shard : shards_) {
-        const std::lock_guard<std::mutex> lock(shard->mutex);
-        total += shard->hot_bytes + shard->warm_bytes;
-    }
-    return total;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return hot_bytes_ + warm_bytes_;
 }
 
 std::uint64_t
 ChunkReadCache::hot_used_bytes() const
 {
-    std::uint64_t total = 0;
-    for (const auto &shard : shards_) {
-        const std::lock_guard<std::mutex> lock(shard->mutex);
-        total += shard->hot_bytes;
-    }
-    return total;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return hot_bytes_;
 }
 
 std::uint64_t
 ChunkReadCache::warm_used_bytes() const
 {
-    std::uint64_t total = 0;
-    for (const auto &shard : shards_) {
-        const std::lock_guard<std::mutex> lock(shard->mutex);
-        total += shard->warm_bytes;
-    }
-    return total;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return warm_bytes_;
 }
 
 std::uint64_t
 ChunkReadCache::hot_target_bytes() const
 {
-    std::uint64_t total = 0;
-    for (const auto &shard : shards_) {
-        const std::lock_guard<std::mutex> lock(shard->mutex);
-        total += shard->hot_target;
-    }
-    return total;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return hot_target_;
 }
 
 std::size_t
 ChunkReadCache::entries() const
 {
-    std::size_t total = 0;
-    for (const auto &shard : shards_) {
-        const std::lock_guard<std::mutex> lock(shard->mutex);
-        total += shard->hot.size() + shard->warm.size();
-    }
-    return total;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return hot_.size() + warm_.size();
 }
 
 std::size_t
 ChunkReadCache::hot_entries() const
 {
-    std::size_t total = 0;
-    for (const auto &shard : shards_) {
-        const std::lock_guard<std::mutex> lock(shard->mutex);
-        total += shard->hot.size();
-    }
-    return total;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return hot_.size();
 }
 
 std::size_t
 ChunkReadCache::warm_entries() const
 {
-    std::size_t total = 0;
-    for (const auto &shard : shards_) {
-        const std::lock_guard<std::mutex> lock(shard->mutex);
-        total += shard->warm.size();
-    }
-    return total;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return warm_.size();
 }
 
 std::size_t
 ChunkReadCache::spill_entries() const
 {
-    if (!spill_enabled())
-        return 0;
-    const std::lock_guard<std::mutex> lock(spill_.mutex);
+    const std::lock_guard<std::mutex> lock(mutex_);
     return spill_.index.size();
 }
 
 std::uint64_t
 ChunkReadCache::spill_used_bytes() const
 {
-    if (!spill_enabled())
-        return 0;
-    const std::lock_guard<std::mutex> lock(spill_.mutex);
+    const std::lock_guard<std::mutex> lock(mutex_);
     return spill_.used_bytes;
 }
 

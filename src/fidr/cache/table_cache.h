@@ -20,19 +20,17 @@
  * TableCache is write-back: bucket mutations dirty the line and reach
  * the table SSD on eviction or writeback_all().
  *
- * Sharding (Sec 5.5 / Observation #4): the paper's Cache HW-Engine
+ * Concurrency (Sec 5.5 / Observation #4): the paper's Cache HW-Engine
  * sustains many concurrent index operations because the tree is a
- * hardware pipeline.  The software stand-in gets the same headroom by
- * partitioning the cache into N = 2^k shards keyed by the bucket
- * index's low bits: each shard owns a contiguous slice of the lines
- * plus its own free list, LRU lists, stats, and mutex, so accesses to
- * different shards never contend.  shards = 1 (the default) is
- * byte-identical to the unsharded cache.
+ * hardware pipeline that runs updates speculatively and replays them
+ * on a conflict (Sec 6, Algorithms 1-2), not because the cache is
+ * split.  The software cache is one structure over its whole budget
+ * behind one mutex; FIDR drives it from one thread at a time (the
+ * commit sequencer), and the mutex only keeps stats readers safe.
  */
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -52,34 +50,6 @@ class CacheIndex {
     virtual Status insert(BucketIndex bucket, std::size_t line) = 0;
     virtual void erase(BucketIndex bucket) = 0;
     virtual std::size_t size() const = 0;
-};
-
-/**
- * Routes each bucket to one of 2^k sub-indexes by the bucket index's
- * low bits — the same key TableCache shards by, so when the sub count
- * matches the cache's shard count, sub-index s is only ever touched
- * under shard s's mutex and any single-threaded CacheIndex backend
- * (software B+ tree or HW-tree model) becomes safe to use from the
- * sharded cache without its own locking.
- */
-class ShardedCacheIndex final : public CacheIndex {
-  public:
-    /** `subs` must be a non-empty power-of-two set of sub-indexes. */
-    explicit ShardedCacheIndex(
-        std::vector<std::unique_ptr<CacheIndex>> subs);
-
-    std::optional<std::size_t> find(BucketIndex bucket) override;
-    Status insert(BucketIndex bucket, std::size_t line) override;
-    void erase(BucketIndex bucket) override;
-    std::size_t size() const override;
-
-    std::size_t sub_count() const { return subs_.size(); }
-    CacheIndex &sub(std::size_t i) { return *subs_[i]; }
-    const CacheIndex &sub(std::size_t i) const { return *subs_[i]; }
-
-  private:
-    std::vector<std::unique_ptr<CacheIndex>> subs_;
-    std::size_t mask_ = 0;
 };
 
 /** Fixed-capacity circular buffer of free cache line slots. */
@@ -183,25 +153,19 @@ class TableCache {
     /**
      * @param table  backing on-SSD table (fetch/flush target).
      * @param index  bucket->line index implementation (not owned).
-     *               With shards > 1 pass a ShardedCacheIndex whose
-     *               sub count equals `shards` so index routing matches
-     *               cache routing (bucket & (shards-1)).
-     * @param lines  cache capacity in 4 KB lines (>= shards).
+     * @param lines  cache capacity in 4 KB lines (> 0).
      * @param policy victim selection policy (LRU in the paper).
-     * @param shards power-of-two shard count; 1 = unsharded.
      */
     TableCache(tables::HashPbnTable &table, CacheIndex &index,
                std::size_t lines,
-               EvictionPolicy policy = EvictionPolicy::kLru,
-               std::size_t shards = 1);
+               EvictionPolicy policy = EvictionPolicy::kLru);
 
     /**
-     * Ensures the bucket is resident, evicting an LRU victim from the
-     * bucket's shard when that shard's free list is empty.  The
-     * returned line stays valid until the next access() for a bucket
-     * of the same shard.  `high_priority` only matters under
-     * kPrioritizedLru, where it pins the line into the protected
-     * class until a low-priority access touches it.
+     * Ensures the bucket is resident, evicting a victim when the free
+     * list is empty.  The returned line stays valid until the next
+     * access().  `high_priority` only matters under kPrioritizedLru,
+     * where it pins the line into the protected class until a
+     * low-priority access touches it.
      */
     Result<CacheAccess> access(BucketIndex bucket,
                                bool high_priority = false);
@@ -209,7 +173,7 @@ class TableCache {
     /**
      * The cached bucket on `line` (must be valid/resident).  Content
      * ownership follows the access() contract: the caller that mapped
-     * the line may read/mutate it without holding the shard lock.
+     * the line may read/mutate it without holding the cache lock.
      */
     tables::Bucket &bucket(std::size_t line);
     const tables::Bucket &bucket(std::size_t line) const;
@@ -220,17 +184,8 @@ class TableCache {
     /** Flushes every dirty line to the table SSD (lines stay cached). */
     Status writeback_all();
 
-    /** Aggregate counters over all shards (by value). */
+    /** Hit/miss/eviction counters (by value). */
     CacheStats stats() const;
-
-    std::size_t shard_count() const { return shards_.size(); }
-
-    /** One shard's counters (by value; shard < shard_count()). */
-    CacheStats shard_stats(std::size_t shard) const;
-
-    /** The shard that owns `bucket` (routing: bucket & (N-1)). */
-    std::size_t shard_of(BucketIndex bucket) const
-    { return static_cast<std::size_t>(bucket) & shard_mask_; }
 
     std::size_t lines() const { return lines_.size(); }
 
@@ -247,9 +202,8 @@ class TableCache {
 
     /**
      * Invariants: every resident line is indexed exactly once, free
-     * and resident line sets partition each shard, the LRU lists cover
-     * exactly the resident lines, and every resident owner routes to
-     * the shard holding it.
+     * and resident line sets partition the cache, and the LRU lists
+     * cover exactly the resident lines.
      */
     Status validate() const;
 
@@ -261,45 +215,20 @@ class TableCache {
         bool dirty = false;
     };
 
-    /**
-     * One shard: a contiguous slice of global lines [base, base+count)
-     * with private eviction structures over local slots [0, count).
-     * unique_ptr because std::mutex is immovable.
-     */
-    struct Shard {
-        Shard(std::size_t base, std::size_t count)
-            : base(base), count(count), free(count), lru(count),
-              lru_high(count)
-        {
-        }
-
-        std::size_t base;
-        std::size_t count;
-        FreeList free;
-        LruList lru;
-        LruList lru_high;  ///< Protected class under kPrioritizedLru.
-        CacheStats stats;
-        std::uint64_t victim_seed = 0x9E3779B97F4A7C15ull;
-        mutable std::mutex mutex;
-    };
-
-    Shard &shard_for(BucketIndex bucket)
-    { return *shards_[shard_of(bucket)]; }
-
-    /** The shard owning global line id `line` (size arithmetic). */
-    std::size_t shard_of_line(std::size_t line) const;
-
-    Status evict_one(Shard &shard);
-    std::optional<std::size_t> pick_victim(Shard &shard);
+    /** Caller holds mutex_. */
+    Status evict_one();
+    std::optional<std::size_t> pick_victim();
 
     tables::HashPbnTable &table_;
     CacheIndex &index_;
     EvictionPolicy policy_;
     std::vector<Line> lines_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::size_t shard_mask_ = 0;
-    std::size_t lines_quot_ = 0;  ///< lines / shards.
-    std::size_t lines_rem_ = 0;   ///< lines % shards.
+    FreeList free_;
+    LruList lru_;
+    LruList lru_high_;  ///< Protected class under kPrioritizedLru.
+    CacheStats stats_;
+    std::uint64_t victim_seed_ = 0x9E3779B97F4A7C15ull;
+    mutable std::mutex mutex_;
 };
 
 }  // namespace fidr::cache

@@ -60,8 +60,8 @@ FidrSystem::FidrSystem(const FidrConfig &config)
                 containers_.spill_capacity_bytes());
         }
         chunk_cache_ = std::make_unique<cache::ChunkReadCache>(
-            config_.chunk_cache_bytes, config_.chunk_cache_shards,
-            config_.chunk_cache_two_tier, spill_device_.get());
+            config_.chunk_cache_bytes, config_.chunk_cache_two_tier,
+            spill_device_.get());
     }
     build_cache_structures();
 
@@ -185,35 +185,20 @@ void
 FidrSystem::build_cache_structures()
 {
     // (Re)build index + cache + dedup view; shared by the constructor
-    // and crash recovery so both produce the same sharded layout.
-    hw_shards_.clear();
-    const std::size_t shards = config_.cache_shards;
-    const auto make_index = [this]() -> std::unique_ptr<cache::CacheIndex> {
-        if (config_.hw_cache_engine) {
-            hwtree::PipelineConfig pipeline;
-            pipeline.update_lanes = config_.tree_update_lanes;
-            auto hw = std::make_unique<cache::HwTreeCacheIndex>(pipeline);
-            hw_shards_.push_back(hw.get());
-            return hw;
-        }
-        return std::make_unique<cache::BTreeCacheIndex>();
-    };
-    if (shards > 1) {
-        // One sub-index per cache shard: sub s is only ever touched
-        // under shard s's mutex, so single-threaded backends (the HW
-        // tree, the B+ tree) stay safe without their own locking.
-        std::vector<std::unique_ptr<cache::CacheIndex>> subs;
-        subs.reserve(shards);
-        for (std::size_t s = 0; s < shards; ++s)
-            subs.push_back(make_index());
-        index_ =
-            std::make_unique<cache::ShardedCacheIndex>(std::move(subs));
+    // and crash recovery so both produce the same layout.
+    hw_index_ = nullptr;
+    if (config_.hw_cache_engine) {
+        hwtree::PipelineConfig pipeline;
+        pipeline.update_lanes = config_.tree_update_lanes;
+        auto hw = std::make_unique<cache::HwTreeCacheIndex>(pipeline);
+        hw_index_ = hw.get();
+        index_ = std::move(hw);
     } else {
-        index_ = make_index();
+        index_ = std::make_unique<cache::BTreeCacheIndex>();
     }
     table_cache_ = std::make_unique<cache::TableCache>(
         platform_.hash_table(), *index_, platform_.cache_lines(),
-        config_.eviction_policy, shards);
+        config_.eviction_policy);
     dedup_ = std::make_unique<DedupIndex>(*table_cache_);
 }
 
@@ -1750,20 +1735,6 @@ FidrSystem::obs_snapshot() const
     snap.counters["cache.evictions"] = cache.evictions;
     snap.counters["cache.dirty_evictions"] = cache.dirty_evictions;
     snap.gauges["cache.hit_rate"] = cache.hit_rate();
-    if (table_cache_->shard_count() > 1) {
-        // Per-shard breakdown (Sec 5.5): imbalance shows up as skewed
-        // hit/miss distributions across shards.
-        for (std::size_t s = 0; s < table_cache_->shard_count(); ++s) {
-            const cache::CacheStats shard = table_cache_->shard_stats(s);
-            const std::string prefix =
-                "cache.shard" + std::to_string(s);
-            snap.counters[prefix + ".hits"] = shard.hits;
-            snap.counters[prefix + ".misses"] = shard.misses;
-            snap.counters[prefix + ".evictions"] = shard.evictions;
-            snap.counters[prefix + ".dirty_evictions"] =
-                shard.dirty_evictions;
-        }
-    }
 
     // Chunk read cache (zeros when disabled, so dashboards diffing a
     // cache-on run against cache-off see the keys either way).
@@ -1895,17 +1866,8 @@ FidrSystem::obs_snapshot() const
                   static_cast<double>(stats_.stored_bytes)
             : 0.0;
 
-    if (!hw_shards_.empty()) {
-        // Aggregate over the per-shard trees (one tree per cache shard
-        // when cache_shards > 1, a single tree otherwise).
-        hwtree::PipelineStats tree;
-        for (const cache::HwTreeCacheIndex *hw : hw_shards_) {
-            const hwtree::PipelineStats &s = hw->pipeline().stats();
-            tree.searches += s.searches;
-            tree.updates += s.updates;
-            tree.crashes += s.crashes;
-            tree.replays += s.replays;
-        }
+    if (hw_index_) {
+        const hwtree::PipelineStats &tree = hw_index_->pipeline().stats();
         snap.counters["tree.searches"] = tree.searches;
         snap.counters["tree.updates"] = tree.updates;
         snap.counters["tree.crashes"] = tree.crashes;

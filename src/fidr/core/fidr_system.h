@@ -89,9 +89,6 @@ struct FidrConfig {
      */
     std::uint64_t chunk_cache_bytes = 0;
 
-    /** Chunk-cache shards (power of two; the cache_shards pattern). */
-    std::size_t chunk_cache_shards = 1;
-
     /**
      * Two-tier chunk cache (cache/chunk_cache.h): hot decompressed
      * entries above a warm tier of compressed images under the same
@@ -119,13 +116,6 @@ struct FidrConfig {
      */
     std::uint32_t node_index = 0;
 
-    /**
-     * Hash-PBN table cache shards (power of two, Sec 5.5).  Shard
-     * routing is bucket & (N-1) with per-shard free/LRU lists, stats
-     * and mutexes; 1 keeps the unsharded layout (and its exact
-     * eviction order).
-     */
-    std::size_t cache_shards = 1;
     /**
      * Extension (the paper's stated future work, Sec 7.5): offload the
      * read-path NVMe software stack to the FPGA as well, leaving only
@@ -225,18 +215,13 @@ class FidrSystem : public StorageServer {
     Platform &platform() { return platform_; }
     const Platform &platform() const { return platform_; }
     nic::FidrNic &nic_model() { return nic_; }
-    /** Aggregate cache counters over all shards (by value). */
+    /** Table-cache counters (by value). */
     cache::CacheStats cache_stats() const { return table_cache_->stats(); }
     const cache::TableCache &table_cache() const { return *table_cache_; }
     tables::LbaPbaTable &lba_table() { return lba_table_; }
 
-    /**
-     * Null when running with the software cache index; with
-     * cache_shards > 1 this is shard 0's tree (obs_snapshot aggregates
-     * all shards).
-     */
-    const cache::HwTreeCacheIndex *hw_index() const
-    { return hw_shards_.empty() ? nullptr : hw_shards_.front(); }
+    /** Null when running with the software cache index. */
+    const cache::HwTreeCacheIndex *hw_index() const { return hw_index_; }
 
     /** Live/dead space accounting (GC extension). */
     const SpaceTracker &space() const { return space_; }
@@ -569,8 +554,8 @@ class FidrSystem : public StorageServer {
     Platform platform_;
     nic::FidrNic nic_;
     std::unique_ptr<cache::CacheIndex> index_;
-    /** Per-shard HW trees (owned by index_); empty under B+ tree. */
-    std::vector<cache::HwTreeCacheIndex *> hw_shards_;
+    /** The HW tree behind index_ (owned by it); null under B+ tree. */
+    cache::HwTreeCacheIndex *hw_index_ = nullptr;
     std::unique_ptr<cache::TableCache> table_cache_;
     std::unique_ptr<DedupIndex> dedup_;
     tables::LbaPbaTable lba_table_;

@@ -248,15 +248,18 @@ ContainerLog::read_superblocks() const
         const std::uint8_t *p = raw.value().data();
         if (load_le(p, 8) != kSuperblockMagic)
             continue;  // Never written (virgin device) or torn.
-        if (load_le(p + 8, 4) != kContainerFormatVersion)
-            return Status::corruption("unsupported container-log format");
+        // Checksum before any field is trusted: a torn or corrupted
+        // slot falls back to the twin, and only an intact superblock of
+        // another format or array shape is reported.
         const std::size_t ssds = load_le(p + 28, 4);
-        if (ssds != data_ssds_.size())
-            return Status::corruption("superblock SSD count mismatch");
         const std::size_t checked = 32 + 8 * ssds;
         if (checked + 8 > kSuperblockSlotBytes ||
             load_le(p + checked, 8) != fnv1a64({p, checked}))
-            continue;  // Torn superblock write: fall back to the twin.
+            continue;
+        if (load_le(p + 8, 4) != kContainerFormatVersion)
+            return Status::corruption("unsupported container-log format");
+        if (ssds != data_ssds_.size())
+            return Status::corruption("superblock SSD count mismatch");
         SuperblockImage image;
         image.seq = load_le(p + 12, 8);
         image.next_seal_id = load_le(p + 20, 8);
@@ -305,11 +308,12 @@ ContainerLog::recover()
             const std::uint8_t *p = raw.value().data();
             if (load_le(p, 8) != kHeaderMagic)
                 continue;  // Unwritten or trimmed slot.
-            if (load_le(p + 8, 4) != kContainerFormatVersion)
-                return Status::corruption("unsupported container format");
             if (load_le(p + kHeaderChecked, 8) !=
                 fnv1a64({p, kHeaderChecked}))
                 continue;  // Torn seal: the container never existed.
+            // Intact, so the version is what the writer meant.
+            if (load_le(p + 8, 4) != kContainerFormatVersion)
+                return Status::corruption("unsupported container format");
             Adopted entry{ssd, slot, load_le(p + 20, 8),
                           load_le(p + 28, 8)};
             const std::uint64_t id = load_le(p + 12, 8);

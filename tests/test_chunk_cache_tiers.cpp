@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -19,7 +21,7 @@
 namespace fidr::cache {
 namespace {
 
-constexpr std::uint64_t kCap = 16384;   ///< One shard, 4 raw chunks.
+constexpr std::uint64_t kCap = 16384;   ///< 4 raw chunks.
 constexpr std::size_t kRaw = 4096;
 constexpr std::size_t kComp = 1024;     ///< 4:1 compressible payloads.
 
@@ -76,7 +78,7 @@ class FakeSpill final : public SpillBackend {
 
 TEST(ChunkCacheOneTier, EvictionDropsOutrightAndBillsRawOnly)
 {
-    ChunkReadCache cache(2 * kRaw, 1, /*two_tier=*/false);
+    ChunkReadCache cache(2 * kRaw, /*two_tier=*/false);
 
     // Compressed images are passed (the read plane always has them)
     // but must not be billed or retained in one-tier mode.
@@ -103,7 +105,7 @@ TEST(ChunkCacheTiers, DemotionFreesRawAndKeepsCompressed)
     // hot_fraction_initial 0.5 of 16 KiB = 8192 target; a hot entry
     // bills raw + compressed = 5120, so two hot entries overflow the
     // target and the LRU one demotes.
-    ChunkReadCache cache(kCap, 1);
+    ChunkReadCache cache(kCap);
     const Buffer raw_a = bytes(kRaw, 10), comp_a = bytes(kComp, 11);
     cache.fill(key(1, 0), raw_a, comp_a);
     cache.fill(key(1, 1), bytes(kRaw, 12), bytes(kComp, 13));
@@ -124,7 +126,7 @@ TEST(ChunkCacheTiers, DemotionFreesRawAndKeepsCompressed)
 
 TEST(ChunkCacheTiers, PromoteRestoresHotAndDemotesTheOther)
 {
-    ChunkReadCache cache(kCap, 1);
+    ChunkReadCache cache(kCap);
     const Buffer raw_a = bytes(kRaw, 20), comp_a = bytes(kComp, 21);
     cache.fill(key(1, 0), raw_a, comp_a);
     cache.fill(key(1, 1), bytes(kRaw, 22), bytes(kComp, 23));
@@ -149,7 +151,7 @@ TEST(ChunkCacheTiers, RebalanceDemotesABatchPerPass)
     // bills 256 + 64 bytes, the initial target is half of 16 KiB, so
     // 25 fit and the 26th fill overflows it.  That pass must demote a
     // batch of 8 tail entries, not just the one the target needs.
-    ChunkReadCache cache(kCap, 1);
+    ChunkReadCache cache(kCap);
     constexpr std::size_t kSmallRaw = 256, kSmallComp = 64;
     for (std::uint16_t i = 0; i < 25; ++i)
         cache.fill(key(1, i), bytes(kSmallRaw, static_cast<std::uint8_t>(i)),
@@ -173,7 +175,7 @@ TEST(ChunkCacheTiers, BatchedDemotionNeverDemotesTheMru)
     // entries (fewer than a full batch) and stops at the MRU entry,
     // the fill that triggered it, even though that one alone still
     // fills most of the target.
-    ChunkReadCache cache(kCap, 1);
+    ChunkReadCache cache(kCap);
     for (std::uint16_t i = 0; i < 3; ++i)
         cache.fill(key(1, i), bytes(256, static_cast<std::uint8_t>(i)),
                    bytes(64, static_cast<std::uint8_t>(i)));
@@ -190,7 +192,7 @@ TEST(ChunkCacheTiers, FillPromotesASpilledEntryOnlyOnce)
     // the ring entry with it; the same key re-filled while hot is only
     // a recency refresh.
     FakeSpill spill(64 * 1024);
-    ChunkReadCache cache(kCap, 1, /*two_tier=*/true, &spill);
+    ChunkReadCache cache(kCap, /*two_tier=*/true, &spill);
     for (std::uint16_t i = 0; i < 18; ++i)
         cache.fill(key(1, i), bytes(kRaw, static_cast<std::uint8_t>(i)),
                    bytes(kComp, static_cast<std::uint8_t>(i)));
@@ -214,7 +216,7 @@ TEST(ChunkCacheTiers, FillPromotesASpilledEntryOnlyOnce)
 
 TEST(ChunkCacheGhosts, AdaptationIsAsymmetric)
 {
-    ChunkReadCache cache(kCap, 1);
+    ChunkReadCache cache(kCap);
     const std::uint64_t initial = cache.hot_target_bytes();
 
     // Demote A (hot tail -> warm + hot ghost), then re-reference it
@@ -254,7 +256,7 @@ struct SpillRig {
     std::unordered_map<std::uint16_t, Buffer> comps;
 
     explicit SpillRig(std::uint64_t spill_capacity = 64 * 1024)
-        : spill(spill_capacity), cache(kCap, 1, true, &spill)
+        : spill(spill_capacity), cache(kCap, true, &spill)
     {
     }
 
@@ -429,35 +431,92 @@ TEST(ChunkCacheMaintenance, ClearDropsDramAndSpillIndex)
 
 TEST(ChunkCacheTiers, OversizePayloadIsNotCached)
 {
-    ChunkReadCache cache(kCap, 1);
+    ChunkReadCache cache(kCap);
     cache.fill(key(1, 0), bytes(kCap + 1, 70), bytes(kComp, 71));
     EXPECT_EQ(cache.entries(), 0u);
     EXPECT_EQ(cache.used_bytes(), 0u);
 }
 
-TEST(ChunkCacheTiers, StatsAggregateOverShards)
+TEST(ChunkCacheConcurrency, FillsRaceRekeyAndContainerSweeps)
 {
-    ChunkReadCache cache(4 * kCap, 4);
-    for (std::uint16_t i = 0; i < 32; ++i)
-        cache.fill(key(i, i), bytes(kRaw, static_cast<std::uint8_t>(i)),
-                     bytes(kComp, static_cast<std::uint8_t>(i)));
-    for (std::uint16_t i = 0; i < 32; ++i)
-        (void)cache.lookup(key(i, i));
+    // One thread probes and fills while another re-keys and sweeps
+    // containers (the GC side) and a third reads the counters the way
+    // obs_snapshot() does, all with the spill ring on.  Content is a
+    // function of the offset only, and rekey moves container c to
+    // c + 1000 at the same offset, so every image a probe returns can
+    // be checked whichever key it is found under.  The one cache mutex
+    // must keep every tier coherent (and TSan quiet).
+    FakeSpill spill(8 * 1024);
+    ChunkReadCache cache(kCap, /*two_tier=*/true, &spill);
+    constexpr int kProbes = 6000;
+    constexpr std::uint16_t kOffsets = 16;
+    const auto raw_of = [](std::uint16_t off) {
+        return bytes(kRaw, static_cast<std::uint8_t>(2 * off));
+    };
+    const auto comp_of = [](std::uint16_t off) {
+        return bytes(kComp, static_cast<std::uint8_t>(2 * off + 1));
+    };
 
-    ChunkCacheStats total;
-    for (std::size_t s = 0; s < cache.shard_count(); ++s) {
-        const ChunkCacheStats shard = cache.shard_stats(s);
-        total.hits += shard.hits;
-        total.misses += shard.misses;
-        total.insertions += shard.insertions;
-        total.demotions += shard.demotions;
+    // Start at capacity with a populated ring, so every miss fill
+    // during the race evicts (and spills) while the GC side moves and
+    // drops keys under it.
+    for (std::uint64_t c = 1; c <= 4; ++c) {
+        for (std::uint16_t off = 0; off < kOffsets; ++off)
+            cache.fill(key(c, off), raw_of(off), comp_of(off));
     }
-    const ChunkCacheStats aggregate = cache.stats();
-    EXPECT_EQ(aggregate.hits, total.hits);
-    EXPECT_EQ(aggregate.misses, total.misses);
-    EXPECT_EQ(aggregate.insertions, total.insertions);
-    EXPECT_EQ(aggregate.demotions, total.demotions);
-    EXPECT_EQ(aggregate.insertions, 32u);
+    const std::uint64_t prefill_spills = cache.stats().spill_writes;
+    ASSERT_GT(prefill_spills, 0u);
+
+    std::atomic<bool> done{false};
+    std::thread gc([&] {
+        for (std::uint64_t iter = 0; !done.load(); ++iter) {
+            const std::uint64_t c = 1 + iter % 4;
+            for (std::uint16_t off = 0; off < kOffsets; ++off)
+                (void)cache.rekey(key(c, off), key(c + 1000, off));
+            if (iter % 16 == 0)
+                cache.invalidate_container(c + 1000);
+            std::this_thread::yield();
+        }
+    });
+    std::thread reader([&] {
+        std::uint64_t last = 0;
+        while (!done.load()) {
+            const ChunkCacheStats stats = cache.stats();
+            EXPECT_GE(stats.hits + stats.misses, last);
+            last = stats.hits + stats.misses;
+            EXPECT_LE(cache.used_bytes(), kCap);
+        }
+    });
+
+    std::uint64_t rng = 0x5EEDull;
+    for (int i = 0; i < kProbes; ++i) {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        const std::uint64_t family = (rng >> 33) % 4;
+        const std::uint64_t container =
+            1 + family + (((rng >> 40) & 1) ? 1000 : 0);
+        const auto off = static_cast<std::uint16_t>((rng >> 45) % kOffsets);
+        const ChunkKey k = key(container, off);
+        const TierLookup probe = cache.lookup(k);
+        if (probe.tier == CacheTier::kHot) {
+            ASSERT_EQ(probe.raw, raw_of(off)) << "probe " << i;
+        } else if (probe.tier == CacheTier::kWarm) {
+            ASSERT_EQ(probe.compressed, comp_of(off)) << "probe " << i;
+        } else if (probe.tier == CacheTier::kSpill) {
+            ASSERT_EQ(probe.spill.size, kComp) << "probe " << i;
+        }
+        cache.fill(k, raw_of(off), comp_of(off));
+    }
+    done.store(true);
+    gc.join();
+    reader.join();
+
+    const ChunkCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.hits + stats.misses, std::uint64_t{kProbes});
+    EXPECT_GT(stats.rekeys, 0u);
+    EXPECT_GT(stats.spill_writes, prefill_spills);
+    EXPECT_EQ(cache.entries(), cache.hot_entries() + cache.warm_entries());
+    EXPECT_LE(cache.used_bytes(), kCap);
+    EXPECT_LE(cache.spill_used_bytes(), spill.capacity_bytes());
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-// The pipeline determinism contract (ISSUE: tentpole): pipeline depth
-// and cache shard count may only change wall-clock, never results.
-// Every Table 3 workload must produce bit-identical reduction stats,
-// ledgers, LBA-PBA images, journals and obs counters for
-// in_flight_batches in {1, 2, 4, 8} x cache_shards in {1, 4}; and a
-// power cut with batches in flight must lose nothing acknowledged.
+// The pipeline determinism contract: pipeline depth may only change
+// wall-clock, never results.  Every Table 3 workload must produce
+// bit-identical reduction stats, ledgers, LBA-PBA images, journals and
+// obs counters for in_flight_batches in {1, 2, 4, 8}; and a power cut
+// with batches in flight must lose nothing acknowledged.
 
 #include <map>
 #include <string>
@@ -32,7 +31,7 @@ struct Outcome {
 };
 
 core::FidrConfig
-pipeline_config(std::size_t depth, std::size_t shards)
+pipeline_config(std::size_t depth)
 {
     core::FidrConfig config;
     config.platform.expected_unique_chunks = 50'000;
@@ -43,12 +42,11 @@ pipeline_config(std::size_t depth, std::size_t shards)
     config.container_bytes = 256 * 1024;
     config.nic.hash_batch = 32;  // Frequent seals: many batches in flight.
     config.in_flight_batches = depth;
-    config.cache_shards = shards;
     return config;
 }
 
 Outcome
-run_trace(std::size_t depth, std::size_t shards,
+run_trace(std::size_t depth,
           const std::vector<workload::IoRequest> &requests)
 {
 #if FIDR_FAULT_ENABLED
@@ -56,7 +54,7 @@ run_trace(std::size_t depth, std::size_t shards,
     // obs_snapshot; zero them so each run's snapshot stands alone.
     fault::FailpointRegistry::instance().reset_counters();
 #endif
-    core::FidrSystem system(pipeline_config(depth, shards));
+    core::FidrSystem system(pipeline_config(depth));
     for (const workload::IoRequest &req : requests) {
         if (req.dir == IoDir::kWrite) {
             Buffer data = req.data;
@@ -80,11 +78,8 @@ run_trace(std::size_t depth, std::size_t shards,
     for (const auto &[name, value] : snap.counters) {
         // Pipeline bookkeeping (submits, stalls) legitimately depends
         // on depth; everything else may not.
-        if (name.rfind("pipeline.", 0) == 0 ||
-            name.rfind("cache.shard", 0) == 0) {
-            continue;
-        }
-        out.counters[name] = value;
+        if (name.rfind("pipeline.", 0) != 0)
+            out.counters[name] = value;
     }
     for (const auto &[name, value] : snap.gauges) {
         if (name.rfind("pipeline.", 0) != 0)
@@ -138,7 +133,7 @@ expect_identical(const Outcome &base, const Outcome &probe,
     }
 }
 
-TEST(PipelineDeterminism, BitIdenticalAcrossDepthsAndShards)
+TEST(PipelineDeterminism, BitIdenticalAcrossDepths)
 {
     for (const workload::WorkloadSpec &spec : workload::table3_specs()) {
         workload::WorkloadSpec scaled = spec;
@@ -146,39 +141,14 @@ TEST(PipelineDeterminism, BitIdenticalAcrossDepthsAndShards)
         workload::WorkloadGenerator gen(scaled);
         const auto requests = gen.batch(1200);
 
-        for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-            const Outcome base = run_trace(1, shards, requests);
-            for (const std::size_t depth :
-                 {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-                const Outcome probe = run_trace(depth, shards, requests);
-                expect_identical(base, probe,
-                                 spec.name + " depth " +
-                                     std::to_string(depth) + " shards " +
-                                     std::to_string(shards));
-            }
+        const Outcome base = run_trace(1, requests);
+        for (const std::size_t depth :
+             {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+            const Outcome probe = run_trace(depth, requests);
+            expect_identical(base, probe,
+                             spec.name + " depth " + std::to_string(depth));
         }
     }
-}
-
-TEST(PipelineDeterminism, ShardedCacheMatchesUnshardedResults)
-{
-    // Orthogonal axis: at fixed depth, shard count must not change
-    // reduction or mapping results either (per-shard eviction order
-    // differs from global order, so cache hit/miss counters are the
-    // one thing allowed to move — they are still compared per depth
-    // by the sweep above).
-    workload::WorkloadSpec spec = workload::write_m_spec();
-    spec.address_space_chunks = 1 << 14;
-    workload::WorkloadGenerator gen(spec);
-    const auto requests = gen.batch(1500);
-
-    const Outcome one = run_trace(4, 1, requests);
-    const Outcome four = run_trace(4, 4, requests);
-    EXPECT_EQ(one.stats.unique_chunks, four.stats.unique_chunks);
-    EXPECT_EQ(one.stats.duplicates, four.stats.duplicates);
-    EXPECT_EQ(one.stats.stored_bytes, four.stats.stored_bytes);
-    EXPECT_EQ(one.lba_image, four.lba_image);
-    EXPECT_EQ(one.journal_records, four.journal_records);
 }
 
 #if FIDR_FAULT_ENABLED
@@ -189,7 +159,7 @@ TEST(PipelineCrash, PowerCutWithBatchesInFlightLosesNothingAcked)
     using fault::FaultPolicy;
     using fault::Site;
 
-    core::FidrConfig config = pipeline_config(4, 1);
+    core::FidrConfig config = pipeline_config(4);
     config.nic.hash_batch = 8;
     core::FidrSystem system(config);
     auto &registry = FailpointRegistry::instance();
